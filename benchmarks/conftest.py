@@ -22,6 +22,10 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+# Benchmarks gate answers against the naive oracles the test suite uses
+# (``tests/reference_oracles.py``, imported as ``reference_oracles``).
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests"))
+
 
 def _format_table(
     title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]

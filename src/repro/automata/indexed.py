@@ -13,14 +13,13 @@ hashing and set unions.
 
 Design contract:
 
-- Every kernel is a drop-in semantic equivalent of the corresponding
-  object-level construction; the property tests in
-  ``tests/automata/test_indexed_properties.py`` cross-validate them on
-  random automata.
-- The object-level implementations remain available as ablation
-  baselines behind the :func:`set_indexed_kernels` switch (the A1
-  pattern in ``benchmarks/bench_a01_ablations.py``); benchmark A5
-  measures the gap.
+- These kernels are the only implementation of each step: the
+  object-level methods (:meth:`NFA.product`, :meth:`DFA.minimize`, ...)
+  dispatch here unconditionally.
+- Every kernel equals the textbook construction it replaces; the
+  property tests in ``tests/automata/test_indexed_properties.py``
+  cross-validate them against the naive constructions in
+  ``tests/reference_oracles.py`` on random automata.
 - :class:`IndexedNFA` satisfies the
   :class:`repro.automata.onthefly.ImplicitNFA` protocol directly (its
   states are plain ints), so on-the-fly product searches can consume it
@@ -29,43 +28,10 @@ Design contract:
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .nfa import NFA, Word
-
-# --- kernel switch (ablation baseline support) --------------------------------
-
-_INDEXED_KERNELS_ENABLED = True
-
-
-def indexed_kernels_enabled() -> bool:
-    """Whether the rewired hot paths dispatch to the indexed kernels."""
-    return _INDEXED_KERNELS_ENABLED
-
-
-def set_indexed_kernels(enabled: bool) -> bool:
-    """Enable/disable the indexed kernels globally; returns the old value.
-
-    Disabling falls back to the original object-state implementations,
-    which stay in place as ablation baselines (benchmarks A1/A5).
-    """
-    global _INDEXED_KERNELS_ENABLED
-    previous = _INDEXED_KERNELS_ENABLED
-    _INDEXED_KERNELS_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_indexed_kernels(enabled: bool = True) -> Iterator[None]:
-    """Context manager form of :func:`set_indexed_kernels`."""
-    previous = set_indexed_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_indexed_kernels(previous)
-
 
 # --- bitset helpers ------------------------------------------------------------
 

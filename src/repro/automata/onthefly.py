@@ -3,10 +3,10 @@
 The paper's PSPACE upper bounds hinge on never materializing the
 exponential complement automaton: "we construct A on the fly,
 constructing states only as we search for a path from a start state to a
-final state".  This module implements that search generically over
-*implicit automata* — objects exposing initial states, successor states,
-and a final-state test — so the same code runs the RPQ pipeline
-(NFA x complement-DFA) and the 2RPQ pipeline (NFA x Lemma-4 complement).
+final state".  This module implements that search for one materialized
+NFA against any number of *implicit automata* — objects exposing initial
+states, successor states, and a final-state test — so the same code runs
+the 2RPQ pipelines (NFA x Shepherdson or Lemma-4 lazy complement).
 
 The search is a breadth-first exploration of the product configuration
 space, which returns a *shortest* accepted word; containment refutations
@@ -15,8 +15,6 @@ therefore come with minimal counterexample words.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from ..budget import BudgetExhausted, BudgetMeter
@@ -40,16 +38,6 @@ class ImplicitNFA(Protocol):
     def is_final(self, state) -> bool: ...
 
 
-def ExplicitNFA(nfa: NFA) -> NFA:  # noqa: N802 - kept for API compatibility
-    """Deprecated identity adapter: NFA implements :class:`ImplicitNFA` itself.
-
-    Earlier versions wrapped a materialized :class:`NFA` to expose the
-    implicit-automaton protocol; the protocol methods now live on
-    :class:`NFA` directly, so callers should pass the automaton as-is.
-    """
-    return nfa
-
-
 class SearchBudgetExceeded(BudgetExhausted):
     """Raised when the product search exceeds its configuration budget.
 
@@ -59,19 +47,10 @@ class SearchBudgetExceeded(BudgetExhausted):
     """
 
 
-@dataclass
-class SearchStats:
-    """Instrumentation for the benchmarks (explored state counts)."""
-
-    explored: int = 0
-    frontier_peak: int = 0
-
-
 def find_accepted_word(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
     max_configs: int | None = None,
-    stats: SearchStats | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -80,13 +59,15 @@ def find_accepted_word(
     """Shortest word accepted by *every* machine, or None if none exists.
 
     Args:
-        machines: implicit automata to intersect.
+        machines: the automata to intersect.  The first must be a
+            materialized :class:`NFA` (or an
+            :class:`repro.automata.indexed.IndexedNFA`); the rest may be
+            any implicit automata, e.g. lazy complements.
         alphabet: symbols to search over.
         max_configs: optional exploration budget (product configurations);
             :class:`SearchBudgetExceeded` is raised when exceeded.
             Because every implicit machine here has a finite state space,
             the search always terminates without a budget as well.
-        stats: optional :class:`SearchStats` to fill in.
         meter: optional :class:`repro.budget.BudgetMeter`; the search
             charges one ``"configs"`` unit per product configuration and
             polls the wall-clock deadline, raising
@@ -95,159 +76,56 @@ def find_accepted_word(
             search as one ``product-search`` span (kernel choice and
             witness length as tags, configurations as a counter — set
             once on exit, never inside the BFS loop).
-        kernel: ``"subset" | "antichain" | "auto"``.  On the bitset
-            path, ``"antichain"`` (and the default ``"auto"``) quotients
-            the first machine by simulation equivalence and prunes
-            freshly discovered first-machine states that are simulated
-            by an already-seen sibling at the same rest-configuration —
-            a simulator accepts every suffix the pruned state would, so
-            verdicts and shortest-witness lengths are unchanged.  The
-            generic fallback ignores the option (recorded honestly in
-            *kernel_stats*).
+        kernel: ``"subset" | "antichain" | "auto"``.  ``"antichain"``
+            (and the default ``"auto"``) quotients the first machine by
+            simulation equivalence and prunes freshly discovered
+            first-machine states that are simulated by an already-seen
+            sibling at the same rest-configuration — a simulator accepts
+            every suffix the pruned state would, so verdicts and
+            shortest-witness lengths are unchanged.
         kernel_stats: optional dict filled with the selected kernel and
-            its pruning statistics.
+            its search statistics (``configs``, ``subsumption_hits``).
 
     Returns:
         The shortest word in the intersection, or None.
 
-    When the first machine is a materialized :class:`NFA` and no stats
-    object is attached, the search dispatches to a bitset kernel that
-    tracks that machine's states as a big-int set per configuration of
-    the remaining machines — successor computations of the (expensive,
-    lazily complemented) other machines then run once per configuration
-    and symbol instead of once per product state.  The generic search
-    in :func:`_generic_find_accepted_word` remains the ablation
-    baseline.
+    Raises:
+        TypeError: if the first machine is not a materialized automaton.
+
+    The search tracks the first machine's states as a big-int set per
+    configuration of the remaining machines, so successor computations
+    of the (expensive, lazily complemented) other machines run once per
+    configuration and symbol instead of once per product state.
     """
     from .antichain import resolve_kernel
-    from .indexed import indexed_kernels_enabled
+    from .indexed import IndexedNFA
 
     resolved = resolve_kernel(kernel)
-    use_bitset = (
-        stats is None
-        and bool(machines)
-        and isinstance(machines[0], NFA)
-        and indexed_kernels_enabled()
-    )
-    if not use_bitset:
-        # The generic object-tuple search has no macrostate to subsume
-        # against; record the honest fallback.
-        resolved = "subset"
-        if kernel_stats is not None:
-            kernel_stats.update(selected="subset", search="generic")
-    elif kernel_stats is not None:
+    first = machines[0] if machines else None
+    if isinstance(first, IndexedNFA):
+        first = first.to_nfa()
+    if not isinstance(first, NFA):
+        raise TypeError(
+            "find_accepted_word needs a materialized NFA as its first machine, "
+            f"got {type(first).__name__}"
+        )
+    rest = list(machines[1:])
+    if kernel_stats is not None:
         kernel_stats["selected"] = resolved
     if tracer is None:
-        if use_bitset:
-            return _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, max_configs, meter,
-                kernel=resolved, kernel_stats=kernel_stats,
-            )
-        return _generic_find_accepted_word(
-            machines, alphabet, max_configs, stats, meter
+        return _bitset_find_accepted_word(
+            first, rest, alphabet, max_configs, meter,
+            kernel=resolved, kernel_stats=kernel_stats,
         )
     with tracer.span(
-        "product-search",
-        machines=len(machines),
-        kernel=f"bitset-{resolved}" if use_bitset else "generic",
+        "product-search", machines=len(machines), kernel=f"bitset-{resolved}"
     ) as span:
-        if use_bitset:
-            word = _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, max_configs, meter,
-                span=span, tracer=tracer, kernel=resolved,
-                kernel_stats=kernel_stats,
-            )
-        else:
-            word = _generic_find_accepted_word(
-                machines, alphabet, max_configs, stats, meter, span=span
-            )
+        word = _bitset_find_accepted_word(
+            first, rest, alphabet, max_configs, meter,
+            span=span, tracer=tracer, kernel=resolved, kernel_stats=kernel_stats,
+        )
         span.annotate(witness_length=None if word is None else len(word))
         return word
-
-
-def _generic_find_accepted_word(
-    machines: Sequence[ImplicitNFA],
-    alphabet: Sequence[str],
-    max_configs: int | None = None,
-    stats: SearchStats | None = None,
-    meter: BudgetMeter | None = None,
-    span=None,
-) -> Word | None:
-    """The object-tuple BFS behind :func:`find_accepted_word`."""
-    parents: dict[tuple, tuple[tuple, str] | None] = {}
-    try:
-        return _generic_search(machines, alphabet, max_configs, stats, meter, parents)
-    finally:
-        if span is not None:
-            span.count("configs", len(parents))
-
-
-def _generic_search(
-    machines: Sequence[ImplicitNFA],
-    alphabet: Sequence[str],
-    max_configs: int | None,
-    stats: SearchStats | None,
-    meter: BudgetMeter | None,
-    parents: dict,
-) -> Word | None:
-    initial: list[tuple] = []
-    seeds = [_polled(machine.initial_states(), meter) for machine in machines]
-    if any(not seed for seed in seeds):
-        return None
-    initial = list(_cartesian(seeds))
-
-    parents.update({tup: None for tup in initial})
-    queue: deque[tuple] = deque(initial)
-
-    def accepted(tup: tuple) -> bool:
-        return all(machine.is_final(state) for machine, state in zip(machines, tup))
-
-    if meter is not None:
-        meter.charge("configs", len(initial))
-    hit = next((tup for tup in initial if accepted(tup)), None)
-    while queue and hit is None:
-        tup = queue.popleft()
-        if stats is not None:
-            stats.explored += 1
-            stats.frontier_peak = max(stats.frontier_peak, len(queue))
-        if meter is not None:
-            meter.poll()
-        for symbol in alphabet:
-            successor_sets = [
-                _polled(machine.successor_states(state, symbol), meter)
-                for machine, state in zip(machines, tup)
-            ]
-            if any(not successors for successors in successor_sets):
-                continue
-            for nxt in _cartesian(successor_sets):
-                if meter is not None:
-                    meter.poll()
-                if nxt in parents:
-                    continue
-                parents[nxt] = (tup, symbol)
-                if meter is not None:
-                    meter.charge("configs")
-                if max_configs is not None and len(parents) > max_configs:
-                    raise SearchBudgetExceeded(
-                        f"product search exceeded {max_configs} configurations",
-                        resource="configs",
-                        spent=len(parents),
-                        limit=max_configs,
-                    )
-                if accepted(nxt):
-                    hit = nxt
-                    break
-                queue.append(nxt)
-            if hit is not None:
-                break
-    if hit is None:
-        return None
-    word: list[str] = []
-    cursor = hit
-    while parents[cursor] is not None:
-        cursor, symbol = parents[cursor]  # type: ignore[misc]
-        word.append(symbol)
-    return tuple(reversed(word))
 
 
 def _cartesian(pools: Sequence[Sequence]) -> Iterator[tuple]:
@@ -290,8 +168,8 @@ def _bitset_find_accepted_word(
     A layered BFS over configurations of the *rest* machines, each
     carrying the bitset of *first*-machine states reachable alongside
     it; a product state ``(l, rest-tuple)`` is explored at most once
-    (bit ``l`` enters the tuple's mask once), so the budget and the
-    shortest-word guarantee match the generic search exactly.
+    (bit ``l`` enters the tuple's mask once), so the budget counts
+    product configurations and the BFS layers give a shortest word.
     """
     from .antichain import record_search
 

@@ -145,24 +145,6 @@ class Budget:
         """The staged-escalation budget behind ``budget="auto"``."""
         return cls(deadline_ms=deadline_ms, escalate=True, **limits)
 
-    @classmethod
-    def from_legacy(
-        cls,
-        max_configs: int | None = None,
-        max_states: int | None = None,
-        max_expansions: int | None = None,
-        max_total_length: int | None = None,
-        max_applications: int | None = None,
-    ) -> "Budget":
-        """A Budget equivalent to the deprecated per-procedure kwargs."""
-        return cls(
-            max_configs=max_configs,
-            max_states=max_states,
-            max_expansions=max_expansions,
-            max_total_length=max_total_length,
-            max_applications=max_applications,
-        )
-
     def merged(self, **defaults: Any) -> "Budget":
         """A copy whose unset fields are filled from *defaults*.
 

@@ -20,9 +20,9 @@ Canonical-key rules (see DESIGN.md "Performance architecture"):
   sharing needs no copying and no invalidation: a key can never go
   stale because nothing it points to can change.  The only eviction is
   LRU pressure.
-- **Instrumentation must not poison keys.**  Callers passing mutable
-  instrumentation (e.g. ``stats=`` objects) opt out of caching — the
-  engine skips the cache whenever an option does not hash.
+- **Unhashable inputs opt out.**  The engine skips the cache whenever
+  a query or an option value does not hash, rather than risk a stale
+  or shared value.
 
 :func:`clear_caches` resets contents (benchmarks call it between
 ablation arms so both arms compile from cold).

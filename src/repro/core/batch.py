@@ -233,11 +233,6 @@ class BatchResult:
         busy = sum(max(0.0, item.wall_ms) for item in self.items)
         return min(1.0, max(0.0, busy / (self.workers * self.wall_ms)))
 
-    @property
-    def utilization(self) -> float:
-        """Alias for :attr:`worker_utilization` (historical name)."""
-        return self.worker_utilization
-
     def counts(self) -> dict[str, int]:
         """Verdict histogram, e.g. ``{"holds": 12, "refuted": 8}``."""
         out: dict[str, int] = {}
@@ -534,17 +529,11 @@ class ContainmentExecutor:
 
     def _make_pool(self) -> concurrent.futures.Executor:
         if self.backend == "process":
-            # Mutable instrumentation objects (``stats=``) bypass the
-            # caches anyway and may not pickle; keep them out of the
-            # initializer arguments.
-            warm_options = {
-                k: v for k, v in self._options.items() if k != "stats"
-            }
             return concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._process_context(),
                 initializer=_warm_start,
-                initargs=(warm_options,),
+                initargs=(self._options,),
             )
         return concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="batch-worker"

@@ -61,7 +61,6 @@ from .report import ContainmentResult, Counterexample, EquivalenceResult, Verdic
 _OPTION_UNIVERSE = frozenset(
     {
         "method",
-        "stats",
         "kernel",
         "max_configs",
         "max_expansions",
@@ -136,8 +135,8 @@ def check_containment(
     Repeated calls with the same queries and options are served from
     the containment cache in :mod:`repro.cache`; the returned result's
     ``details["cache"]`` records ``"hit"``, ``"miss"``, or ``"bypass"``
-    (unhashable queries or options — e.g. a mutable ``stats=`` object —
-    opt out of caching rather than risking a stale or shared value).
+    (unhashable queries or option values opt out of caching rather than
+    risking a stale or shared value).
     Caching is bound-aware: exact verdicts are stored under a key that
     ignores budgets and serve any later budget, while bounded verdicts
     are keyed by their budget, so a cached small-budget result never
@@ -373,9 +372,9 @@ def _check_containment_uncached(
     if common is None:
         # Cross-tower: route graph queries through the Datalog embedding.
         graph_side = class1 in (QueryClass.RPQ, QueryClass.TWO_RPQ, QueryClass.UC2RPQ, QueryClass.RQ)
-        q1 = promote(promote(q1, QueryClass.RQ), QueryClass.DATALOG) if graph_side else q1
-        q2 = q2 if graph_side else q2
-        if not graph_side:
+        if graph_side:
+            q1 = promote(promote(q1, QueryClass.RQ), QueryClass.DATALOG)
+        else:
             q2 = promote(promote(q2, QueryClass.RQ), QueryClass.DATALOG)
         return check_containment(
             q1, q2, budget=budget, trace=tracer if tracer is not None else False,
@@ -389,7 +388,7 @@ def _check_containment_uncached(
         )
         return _with_ignored(result, ignored)
     if common is QueryClass.TWO_RPQ:
-        picked, ignored = _pick(options, "method", "max_configs", "stats", "kernel")
+        picked, ignored = _pick(options, "method", "max_configs", "kernel")
         result = two_rpq_contained(
             promote(q1, common), promote(q2, common), budget=budget,
             tracer=tracer, **picked,

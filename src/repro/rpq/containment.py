@@ -26,7 +26,7 @@ from ..automata.complement import LazyComplement, complement_two_nfa
 from ..automata.dfa import containment_counterexample
 from ..automata.fold import fold_two_nfa
 from ..automata.nfa import NFA, Word
-from ..automata.onthefly import SearchStats, find_accepted_word
+from ..automata.onthefly import find_accepted_word
 from ..automata.shepherdson import LazyShepherdsonComplement
 from ..budget import Budget, BudgetExhausted, as_budget, bounded_result, deadline_scope
 from ..obs.trace import maybe_span
@@ -95,7 +95,6 @@ def two_rpq_contained(
     q2: TwoRPQ,
     method: TwoRPQMethod = "shepherdson",
     max_configs: int | None = None,
-    stats: SearchStats | None = None,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -117,7 +116,6 @@ def two_rpq_contained(
         max_configs: deprecated alias for ``budget=Budget(max_configs=...)``
             (a bound on product configurations; for the materialized
             method it also bounds the complement's state count).
-        stats: optional search instrumentation.
         budget: optional :class:`repro.budget.Budget`.  Exhaustion of
             any resource returns a structured bounded/inconclusive
             verdict — this procedure never raises on budget exhaustion.
@@ -147,7 +145,6 @@ def two_rpq_contained(
                 witness = find_accepted_word(
                     [left, LazyShepherdsonComplement(folded)],
                     sigma_pm,
-                    stats=stats,
                     meter=meter,
                     tracer=tracer,
                     kernel=kernel,
@@ -157,7 +154,6 @@ def two_rpq_contained(
                 witness = find_accepted_word(
                     [left, LazyComplement(folded)],
                     sigma_pm,
-                    stats=stats,
                     meter=meter,
                     tracer=tracer,
                     kernel=kernel,

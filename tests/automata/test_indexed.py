@@ -2,8 +2,8 @@
 
 Each kernel is checked against hand-built automata and, where the
 contract promises a *drop-in* structural equivalent (determinize,
-minimize, product), against the object-level baseline with the kernels
-switched off.  The random cross-validation lives in
+minimize, product), against the naive constructions in
+``tests/reference_oracles.py``.  The random cross-validation lives in
 ``test_indexed_properties.py``.
 """
 
@@ -21,15 +21,14 @@ from repro.automata.indexed import (
     containment_counterexample_indexed,
     epsilon_closures,
     graph_product_targets,
-    indexed_kernels_enabled,
     minimize_dfa,
-    set_indexed_kernels,
-    use_indexed_kernels,
 )
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.regex import parse_regex
 from repro.cache import use_caching
+
+import reference_oracles as reference
 
 
 def nfa_of(text: str) -> NFA:
@@ -48,17 +47,6 @@ def test_epsilon_closures_are_reflexive_transitive():
     assert closures[1] == 0b0110
     assert closures[2] == 0b0100
     assert closures[3] == 0b1000
-
-
-def test_switch_restores_previous_value():
-    assert indexed_kernels_enabled()
-    previous = set_indexed_kernels(False)
-    assert previous is True
-    assert not indexed_kernels_enabled()
-    set_indexed_kernels(True)
-    with use_indexed_kernels(False):
-        assert not indexed_kernels_enabled()
-    assert indexed_kernels_enabled()
 
 
 def test_from_nfa_to_nfa_roundtrip_preserves_structure():
@@ -117,11 +105,8 @@ def test_live_mask_drops_unreachable_and_dead_states():
 def test_determinize_matches_baseline_exactly():
     nfa = nfa_of("(a|b)*a(a|b)")
     with use_caching(False):
-        with use_indexed_kernels(True):
-            fast = determinize(nfa, ("a", "b"))
-        with use_indexed_kernels(False):
-            slow = determinize(nfa, ("a", "b"))
-    assert fast == slow
+        fast = determinize(nfa, ("a", "b"))
+    assert fast == reference.determinize(nfa, ("a", "b"))
 
 
 def test_indexed_dfa_complement_flips_acceptance():
@@ -134,11 +119,7 @@ def test_indexed_dfa_complement_flips_acceptance():
 def test_product_matches_baseline_exactly():
     left = nfa_of("a(a|b)*")
     right = nfa_of("(a|b)*b")
-    with use_indexed_kernels(True):
-        fast = left.product(right)
-    with use_indexed_kernels(False):
-        slow = left.product(right)
-    assert fast == slow
+    assert left.product(right) == reference.product(left, right)
 
 
 def test_product_requires_shared_symbol_order():
@@ -150,10 +131,7 @@ def test_product_requires_shared_symbol_order():
 
 def test_minimize_matches_baseline_exactly():
     dfa = determinize(nfa_of("(a|b)*abb"), ("a", "b"))
-    fast = minimize_dfa(dfa)
-    with use_indexed_kernels(False):
-        slow = dfa.minimize()
-    assert fast == slow
+    assert minimize_dfa(dfa) == reference.minimize(dfa)
 
 
 def test_containment_counterexample_agrees_with_materializing_pipeline():
@@ -167,8 +145,8 @@ def test_containment_counterexample_agrees_with_materializing_pipeline():
         left, right = nfa_of(left_text), nfa_of(right_text)
         alpha = ("a", "b", "c")
         fast = containment_counterexample_indexed(left, right, alpha)
-        with use_caching(False), use_indexed_kernels(False):
-            slow = containment_counterexample(left, right, alpha)
+        assert containment_counterexample(left, right, alpha) == fast
+        slow = reference.containment_witness(left, right, alpha)
         assert (fast is None) == contained
         assert (slow is None) == contained
         if fast is not None:

@@ -1,10 +1,11 @@
 """Property-based cross-validation of the indexed kernels (hypothesis).
 
 The design contract of :mod:`repro.automata.indexed` is that every
-kernel is a drop-in semantic equivalent of the object-level baseline it
-replaces.  These tests hold both implementations to that claim on random
-regexes and random edge-list automata, with caching disabled so the two
-arms cannot contaminate each other through the determinize cache.
+kernel equals the textbook construction it replaces.  These tests hold
+the kernels to that claim against the naive constructions in
+``tests/reference_oracles.py`` on random regexes and random edge-list
+automata, with caching disabled where a cached result could stand in
+for the kernel under test.
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import containment_counterexample, determinize
-from repro.automata.indexed import (
-    IndexedNFA,
-    containment_counterexample_indexed,
-    use_indexed_kernels,
-)
+from repro.automata.indexed import IndexedNFA, containment_counterexample_indexed
 from repro.automata.nfa import NFA
 from repro.automata.regex import Regex, random_regex
 from repro.cache import use_caching
 from repro.graphdb.generators import random_graph
 from repro.rpq.rpq import evaluate_nfa_on_graph, targets_from
+
+import reference_oracles as reference
 
 ALPHABET = ("a", "b")
 
@@ -59,30 +58,23 @@ def words(draw, max_len: int = 5):
 @given(edge_list_nfas())
 def test_determinize_is_a_structural_drop_in(nfa):
     with use_caching(False):
-        with use_indexed_kernels(True):
-            fast = determinize(nfa, ALPHABET)
-        with use_indexed_kernels(False):
-            slow = determinize(nfa, ALPHABET)
-    assert fast == slow
+        fast = determinize(nfa, ALPHABET)
+    assert fast == reference.determinize(nfa, ALPHABET)
 
 
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas(), edge_list_nfas())
 def test_product_is_a_structural_drop_in(left, right):
-    with use_indexed_kernels(True):
-        fast = left.product(right)
-    with use_indexed_kernels(False):
-        slow = left.product(right)
-    assert fast == slow
+    assert left.product(right) == reference.product(left, right)
 
 
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas())
 def test_emptiness_and_shortest_word_agree_with_baseline(nfa):
     compiled = IndexedNFA.from_nfa(nfa)
-    with use_indexed_kernels(False):
-        baseline = nfa.shortest_word()
+    baseline = reference.shortest_word(nfa)
     fast = compiled.shortest_word()
+    assert nfa.shortest_word() == fast
     assert compiled.is_empty() == (baseline is None)
     assert (fast is None) == (baseline is None)
     if fast is not None:
@@ -93,11 +85,7 @@ def test_emptiness_and_shortest_word_agree_with_baseline(nfa):
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas())
 def test_trim_agrees_with_baseline(nfa):
-    with use_indexed_kernels(True):
-        fast = nfa.trim()
-    with use_indexed_kernels(False):
-        slow = nfa.trim()
-    assert fast == slow
+    assert nfa.trim() == reference.trim(nfa)
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,11 +93,7 @@ def test_trim_agrees_with_baseline(nfa):
 def test_minimize_produces_identical_canonical_dfa(r1, r2):
     with use_caching(False):
         dfa = determinize(r1.to_nfa().union(r2.to_nfa()), ALPHABET)
-    with use_indexed_kernels(True):
-        fast = dfa.minimize()
-    with use_indexed_kernels(False):
-        slow = dfa.minimize()
-    assert fast == slow
+    assert dfa.minimize() == reference.minimize(dfa)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,8 +101,9 @@ def test_minimize_produces_identical_canonical_dfa(r1, r2):
 def test_containment_counterexamples_agree_with_baseline(r1, r2):
     left, right = r1.to_nfa().trim(), r2.to_nfa().trim()
     fast = containment_counterexample_indexed(left, right, ALPHABET)
-    with use_caching(False), use_indexed_kernels(False):
-        slow = containment_counterexample(left, right, ALPHABET)
+    with use_caching(False):
+        assert containment_counterexample(left, right, ALPHABET) == fast
+    slow = reference.containment_witness(left, right, ALPHABET)
     assert (fast is None) == (slow is None)
     if fast is not None:
         assert len(fast) == len(slow)  # both searches are breadth-first
@@ -131,14 +116,6 @@ def test_containment_counterexamples_agree_with_baseline(r1, r2):
 def test_rpq_graph_evaluation_agrees_with_baseline(regex, graph_seed):
     nfa = regex.to_nfa().trim()
     db = random_graph(6, 12, ALPHABET, seed=graph_seed)
-    with use_indexed_kernels(True):
-        fast = evaluate_nfa_on_graph(nfa, db)
-    with use_indexed_kernels(False):
-        slow = evaluate_nfa_on_graph(nfa, db)
-    assert fast == slow
+    assert evaluate_nfa_on_graph(nfa, db) == reference.answers(nfa, db)
     source = sorted(db.nodes, key=repr)[0]
-    with use_indexed_kernels(True):
-        fast_targets = targets_from(nfa, db, source)
-    with use_indexed_kernels(False):
-        slow_targets = targets_from(nfa, db, source)
-    assert fast_targets == slow_targets
+    assert targets_from(nfa, db, source) == set(reference.distances(nfa, db, source))

@@ -1,20 +1,20 @@
-"""Tests for the generic on-the-fly product-emptiness search."""
+"""Tests for the on-the-fly product-emptiness search."""
 
 import pytest
 
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import (
-    ExplicitNFA,
     SearchBudgetExceeded,
-    SearchStats,
     find_accepted_word,
     intersection_is_empty,
 )
 from repro.automata.regex import parse_regex
+from repro.automata.shepherdson import LazyShepherdsonComplement
+from repro.automata.two_nfa import one_way_as_two_way
 
 
-def wrap(text: str) -> ExplicitNFA:
-    return ExplicitNFA(parse_regex(text).to_nfa())
+def wrap(text: str) -> NFA:
+    return parse_regex(text).to_nfa()
 
 
 class TestFindAcceptedWord:
@@ -39,7 +39,7 @@ class TestFindAcceptedWord:
         assert word[0] == "a" and word[-1] == "b"
 
     def test_machine_with_no_initial_states(self):
-        empty = ExplicitNFA(NFA.build(("a",), [0], [], [0], []))
+        empty = NFA.build(("a",), [0], [], [0], [])
         assert find_accepted_word([empty, wrap("a")], ("a",)) is None
 
     def test_budget_raises(self):
@@ -50,10 +50,20 @@ class TestFindAcceptedWord:
                 max_configs=2,
             )
 
-    def test_stats_populated(self):
-        stats = SearchStats()
-        find_accepted_word([wrap("a a a"), wrap("a*")], ("a",), stats=stats)
-        assert stats.explored > 0
+    def test_kernel_stats_populated(self):
+        stats: dict = {}
+        find_accepted_word(
+            [wrap("a a a"), wrap("a*")], ("a",), kernel="subset", kernel_stats=stats
+        )
+        assert stats["selected"] == "subset"
+        assert stats["configs"] > 0
+
+    def test_rejects_a_first_machine_that_is_not_an_nfa(self):
+        lazy = LazyShepherdsonComplement(one_way_as_two_way(wrap("a")))
+        with pytest.raises(TypeError):
+            find_accepted_word([lazy, wrap("a")], ("a",))
+        with pytest.raises(TypeError):
+            find_accepted_word([], ("a",))
 
 
 class TestIntersectionIsEmpty:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
+
+# Test modules import the naive oracles as ``reference_oracles``; under
+# ``--import-mode=importlib`` the tests directory is not on sys.path.
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from repro.automata.nfa import NFA
 from repro.graphdb.database import GraphDatabase

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.onthefly import SearchStats
 from repro.cache import (
     LRUCache,
     cache_stats,
@@ -150,12 +149,10 @@ class TestEngineContainmentCache:
                 assert result.method == warm.method
                 assert result.counterexample == warm.counterexample
 
-    def test_mutable_stats_option_bypasses_the_cache(self):
+    def test_stats_option_is_rejected(self):
         q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
-        stats = SearchStats()
-        result = check_containment(q1, q2, stats=stats)
-        assert result.details["cache"] == "bypass"
-        assert stats.explored > 0  # the instrumented run actually happened
+        with pytest.raises(TypeError, match="stats"):
+            check_containment(q1, q2, stats=object())
         snapshot = cache_stats()["containment"]
         assert snapshot["hits"] == 0 and snapshot["misses"] == 0
 

@@ -9,12 +9,13 @@ of the acceptance criteria).
 
 import pytest
 
-from repro.automata.indexed import use_indexed_kernels
 from repro.cache import clear_caches, use_caching
 from repro.graphdb import GraphSnapshot
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
 from repro.rpq.rpq import RPQ, TwoRPQ
+
+import reference_oracles as reference
 
 
 class _Opaque:
@@ -107,27 +108,25 @@ class TestAdjacency:
 
 
 class TestEvaluationAgainstBaseline:
+    """The snapshot engine vs the naive (node, state) product BFS."""
+
     @pytest.mark.parametrize("regex", ["a+", "a b", "(a|b)* a", "a- b", "(a b-)+"])
     def test_kernels_agree_with_object_state(self, regex):
         db = random_graph(9, 22, ("a", "b"), seed=11)
         query = TwoRPQ.parse(regex)
         clear_caches()
-        with use_indexed_kernels(True):
-            fast = query.evaluate(db)
-        with use_indexed_kernels(False):
-            slow = query.evaluate(db)
-        assert fast == slow
+        assert query.evaluate(db) == reference.answers(query.regex.to_nfa(), db)
 
     def test_targets_and_matches_agree(self):
         db = random_graph(8, 20, ("a", "b"), seed=5)
         query = TwoRPQ.parse("a (b|a-)*")
         clear_caches()
+        nfa = query.regex.to_nfa()
         for source in db.nodes_in_order():
-            with use_indexed_kernels(True):
-                fast = query.targets(db, source)
-            with use_indexed_kernels(False):
-                slow = query.targets(db, source)
-            assert fast == slow
+            expected = set(reference.distances(nfa, db, source))
+            assert query.targets(db, source) == expected
+            for target in db.nodes_in_order():
+                assert query.matches(db, source, target) == (target in expected)
 
 
 class TestStaleCacheNeverServed:
@@ -138,7 +137,7 @@ class TestStaleCacheNeverServed:
         query = RPQ.parse("r+")
         db = path_graph(3, "r")
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             before = query.evaluate(db)
             assert (0, 3) in before and (3, 0) not in before
             db.add_edge(3, "r", 0)  # close the cycle
@@ -149,7 +148,7 @@ class TestStaleCacheNeverServed:
         query = TwoRPQ.parse("r r")
         db = path_graph(2, "r")
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             assert query.targets(db, 0) == {2}
             assert query.witness_semipath(db, 1, 3) is None
             db.add_edge(2, "r", 3)
@@ -161,7 +160,7 @@ class TestStaleCacheNeverServed:
         one = GraphDatabase.from_edges([("a", "r", "b")])
         two = GraphDatabase.from_edges([("x", "r", "y")])
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             assert query.evaluate(one) == {("a", "b")}
             assert query.evaluate(two) == {("x", "y")}
 
