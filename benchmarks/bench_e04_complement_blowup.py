@@ -16,6 +16,7 @@ from repro.automata.dfa import reduce_nfa
 from repro.automata.fold import fold_two_nfa
 from repro.automata.regex import parse_regex
 from repro.automata.shepherdson import two_nfa_to_dfa
+from repro.budget import Budget
 
 # Folds of word queries give a graded family of well-behaved 2NFAs.
 # (One more letter roughly squares the reachable complement: the family
@@ -32,10 +33,10 @@ def test_e04_complement_sizes(benchmark, report, once_benchmark):
             two = fold_two_nfa(reduce_nfa(parse_regex(text).to_nfa()), sigma_pm)
             n = two.num_states
             start = time.perf_counter()
-            lemma4 = complement_two_nfa(two, max_states=200_000)
+            lemma4 = complement_two_nfa(two, meter=Budget(max_states=200_000).start())
             lemma4_ms = (time.perf_counter() - start) * 1000
             start = time.perf_counter()
-            shepherdson = two_nfa_to_dfa(two, max_states=200_000)
+            shepherdson = two_nfa_to_dfa(two, meter=Budget(max_states=200_000).start())
             shepherdson_ms = (time.perf_counter() - start) * 1000
             rows.append(
                 [
@@ -81,7 +82,7 @@ def test_e04_growth_shape(benchmark, report, once_benchmark):
         rows = []
         for text in ("p", "p p", "p p- p"):
             two = fold_two_nfa(reduce_nfa(parse_regex(text).to_nfa()), sigma_pm)
-            complement = complement_two_nfa(two, max_states=200_000)
+            complement = complement_two_nfa(two, meter=Budget(max_states=200_000).start())
             rows.append(
                 [
                     two.num_states,

@@ -13,6 +13,7 @@ import statistics
 import time
 
 from repro.automata.regex import random_regex
+from repro.budget import Budget
 from repro.rpq.containment import two_rpq_contained
 from repro.rpq.rpq import TwoRPQ
 
@@ -81,7 +82,7 @@ def test_e05_onthefly_vs_materialized(benchmark, report, once_benchmark):
             ).two_way
             verdict = two_rpq_contained(q1, q2, method="lemma4-onthefly")
             folded = fold_two_nfa(q2.nfa, sigma_pm)
-            materialized = complement_two_nfa(folded, max_states=500_000)
+            materialized = complement_two_nfa(folded, meter=Budget(max_states=500_000).start())
             rows.append(
                 [
                     left,

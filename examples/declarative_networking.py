@@ -14,6 +14,7 @@ security policy allows?" is exactly a containment question.
 Run:  python examples/declarative_networking.py
 """
 
+from repro.budget import Budget
 from repro.core import check_containment
 from repro.datalog import evaluate, parse_program
 from repro.grq import check_grq
@@ -70,7 +71,7 @@ def main() -> None:
     print("s1 can reach s5:", ("s1", "s5") in routes)
 
     # Static policy check = query containment (no network data needed!).
-    verdict = check_containment(router, policy, max_expansions=40)
+    verdict = check_containment(router, policy, budget=Budget(max_expansions=40))
     print("\nevery route is policy-safe?", verdict.describe())
 
     # The engine refuses to certify: physical connectivity uses links the
@@ -89,11 +90,11 @@ def main() -> None:
         """,
         goal="route",
     )
-    verdict = check_containment(fixed, policy, max_expansions=40)
+    verdict = check_containment(fixed, policy, budget=Budget(max_expansions=40))
     print("\nfixed router is policy-safe?", verdict.describe())
 
     # And the fixed router still reaches everything reachable safely:
-    verdict = check_containment(policy, fixed, max_expansions=40)
+    verdict = check_containment(policy, fixed, budget=Budget(max_expansions=40))
     print("policy-reachability ⊑ fixed router?", verdict.describe())
 
     # On the concrete network, the difference is visible too.

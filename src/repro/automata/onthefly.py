@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..budget import BudgetExhausted, BudgetMeter
+from ..budget import BudgetMeter
 from .nfa import NFA, Word
 
 
@@ -38,19 +38,9 @@ class ImplicitNFA(Protocol):
     def is_final(self, state) -> bool: ...
 
 
-class SearchBudgetExceeded(BudgetExhausted):
-    """Raised when the product search exceeds its configuration budget.
-
-    A :class:`repro.budget.BudgetExhausted` subclass: the containment
-    procedures catch the whole family and convert it into a structured
-    bounded verdict, while direct kernel callers keep this type.
-    """
-
-
 def find_accepted_word(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -64,14 +54,13 @@ def find_accepted_word(
             :class:`repro.automata.indexed.IndexedNFA`); the rest may be
             any implicit automata, e.g. lazy complements.
         alphabet: symbols to search over.
-        max_configs: optional exploration budget (product configurations);
-            :class:`SearchBudgetExceeded` is raised when exceeded.
-            Because every implicit machine here has a finite state space,
-            the search always terminates without a budget as well.
         meter: optional :class:`repro.budget.BudgetMeter`; the search
             charges one ``"configs"`` unit per product configuration and
             polls the wall-clock deadline, raising
-            :class:`repro.budget.BudgetExhausted` cooperatively.
+            :class:`repro.budget.BudgetExhausted` cooperatively (past
+            the budget's ``max_configs``, or its deadline).  Because
+            every implicit machine here has a finite state space, the
+            search always terminates without a meter as well.
         tracer: optional :class:`repro.obs.trace.Tracer`; records the
             search as one ``product-search`` span (kernel choice and
             witness length as tags, configurations as a counter — set
@@ -114,14 +103,14 @@ def find_accepted_word(
         kernel_stats["selected"] = resolved
     if tracer is None:
         return _bitset_find_accepted_word(
-            first, rest, alphabet, max_configs, meter,
+            first, rest, alphabet, meter,
             kernel=resolved, kernel_stats=kernel_stats,
         )
     with tracer.span(
         "product-search", machines=len(machines), kernel=f"bitset-{resolved}"
     ) as span:
         word = _bitset_find_accepted_word(
-            first, rest, alphabet, max_configs, meter,
+            first, rest, alphabet, meter,
             span=span, tracer=tracer, kernel=resolved, kernel_stats=kernel_stats,
         )
         span.annotate(witness_length=None if word is None else len(word))
@@ -156,7 +145,6 @@ def _bitset_find_accepted_word(
     first: NFA,
     rest: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None,
     meter: BudgetMeter | None = None,
     span=None,
     tracer=None,
@@ -176,7 +164,7 @@ def _bitset_find_accepted_word(
     counted = [0, 0]  # configs, subsumption hits
     try:
         return _bitset_search(
-            first, rest, alphabet, max_configs, meter, counted, tracer, kernel
+            first, rest, alphabet, meter, counted, tracer, kernel
         )
     finally:
         record_search(kernel, counted[1])
@@ -194,7 +182,6 @@ def _bitset_search(
     first: NFA,
     rest: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None,
     meter: BudgetMeter | None,
     counted: list,
     tracer=None,
@@ -291,13 +278,6 @@ def _bitset_search(
                     total = counted[0] = total + fresh.bit_count()
                     if meter is not None:
                         meter.charge("configs", fresh.bit_count())
-                    if max_configs is not None and total > max_configs:
-                        raise SearchBudgetExceeded(
-                            f"product search exceeded {max_configs} configurations",
-                            resource="configs",
-                            spent=total,
-                            limit=max_configs,
-                        )
                     bit = accepting_bit(next_others, fresh)
                     if bit is not None:
                         hit = (next_others, bit)
@@ -339,8 +319,7 @@ def _bitset_search(
 def intersection_is_empty(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None = None,
     meter: BudgetMeter | None = None,
 ) -> bool:
     """True iff the machines' languages have empty intersection."""
-    return find_accepted_word(machines, alphabet, max_configs, meter=meter) is None
+    return find_accepted_word(machines, alphabet, meter=meter) is None

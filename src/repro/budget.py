@@ -23,11 +23,12 @@ Three pieces:
   converts it into a structured bounded/inconclusive
   :class:`repro.report.ContainmentResult` via :func:`bounded_result`.
 
-The legacy kernel exceptions (``SearchBudgetExceeded`` in
-:mod:`repro.automata.onthefly`, ``StateBudgetExceeded`` in
-:mod:`repro.automata.complement`) are subclasses of
-:class:`BudgetExhausted`, so procedures catch the whole family with one
-handler while direct kernel callers keep the historical types.
+A ``Budget`` is the only way to bound a check: the engine, the towers
+and the kernels take no separate ``max_*`` arguments.  Kernels raise
+:class:`BudgetExhausted` directly.  The operator-facing surfaces (the
+CLI's ``--max-expansions``, ``ServeConfig.max_expansions``, the wire
+field ``max_expansions``) are spellings of Budget fields, turned into
+one by :func:`base_budget` and :func:`request_budget`.
 
 Degradation contract (DESIGN.md "Resource governance"):
 
@@ -148,8 +149,8 @@ class Budget:
     def merged(self, **defaults: Any) -> "Budget":
         """A copy whose unset fields are filled from *defaults*.
 
-        Explicit budget fields always win; this is how the legacy
-        ``max_*`` kwargs act as deprecated aliases underneath a Budget.
+        Explicit budget fields always win; this is how each tower
+        lays its default limits underneath the caller's budget.
         """
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in defaults.items():
@@ -323,17 +324,44 @@ def deadline_scope(budget: Budget | None) -> Iterator[None]:
                 gc.enable()
 
 
-def as_budget(budget: Budget | None, **legacy: Any) -> Budget:
-    """Normalize an optional budget plus legacy ``max_*`` kwargs.
+def base_budget(
+    deadline_ms: float | None = None,
+    auto: bool = False,
+    max_expansions: int | None = None,
+) -> Budget | None:
+    """The operator's default budget: CLI flags or ``ServeConfig`` fields.
 
-    The deprecated kwargs construct (or fill unset fields of) a Budget,
-    so all existing call sites keep their behavior while new code passes
-    one Budget object.
+    ``auto`` selects staged escalation (:meth:`Budget.auto`, with
+    *deadline_ms* as its deadline when given); otherwise a deadline
+    alone gives a plain deadline budget.  *max_expansions* is pinned on
+    top, so escalation rounds keep it fixed.  None means unbounded.
     """
-    defaults = {key: value for key, value in legacy.items() if value is not None}
-    if budget is None:
-        return Budget(**defaults) if defaults else UNLIMITED
-    return budget.merged(**defaults) if defaults else budget
+    if auto:
+        budget = Budget.auto() if deadline_ms is None else Budget.auto(deadline_ms)
+    else:
+        budget = None if deadline_ms is None else Budget(deadline_ms=deadline_ms)
+    return request_budget(budget, max_expansions=max_expansions)
+
+
+def request_budget(
+    base: Budget | None,
+    deadline_ms: float | None = None,
+    max_expansions: int | None = None,
+) -> Budget | None:
+    """One request's budget: the *base* budget plus a frame's own fields.
+
+    The frame's ``deadline_ms`` may only tighten the base deadline
+    (:meth:`Budget.tightened`); its ``max_expansions`` replaces the
+    base's.  ``repro contain``, ``repro batch`` and ``repro serve`` all
+    build their budgets here, so a workload line means the same thing
+    on every front door.
+    """
+    budget = base
+    if deadline_ms is not None:
+        budget = (budget or UNLIMITED).tightened(deadline_ms)
+    if max_expansions is not None:
+        budget = replace(budget or UNLIMITED, max_expansions=max_expansions)
+    return budget
 
 
 def bounded_result(

@@ -137,22 +137,10 @@ def _print_evaluation_stats(tracer) -> None:
 
 
 def _cmd_contain(args: argparse.Namespace) -> int:
-    from .budget import Budget
-
     q1 = parse_query(args.left)
     q2 = parse_query(args.right)
-    options: dict[str, Any] = {}
-    if args.max_expansions is not None:
-        options["max_expansions"] = args.max_expansions
-    if args.kernel is not None:
-        options["kernel"] = args.kernel
-    budget = None
-    if args.auto_budget:
-        budget = Budget.auto(
-            deadline_ms=args.deadline_ms
-        ) if args.deadline_ms is not None else "auto"
-    elif args.deadline_ms is not None:
-        budget = Budget(deadline_ms=args.deadline_ms)
+    options = _kernel_option(args)
+    budget = _base_budget(args)
     want_trace = args.trace or args.trace_json is not None
     result = check_containment(q1, q2, budget=budget, trace=want_trace, **options)
     print(result.describe())
@@ -182,29 +170,27 @@ def _cmd_contain(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from .budget import Budget
+    from .budget import request_budget
     from .core.batch import BatchItem, check_containment_many
     from .serve.protocol import parse_workload, response_payload
 
-    budget = None
-    if args.auto_budget:
-        budget = Budget.auto(
-            deadline_ms=args.deadline_ms
-        ) if args.deadline_ms is not None else "auto"
-    elif args.deadline_ms is not None:
-        budget = Budget(deadline_ms=args.deadline_ms)
-    options: dict[str, Any] = {}
-    if args.max_expansions is not None:
-        options["max_expansions"] = args.max_expansions
-    if args.kernel is not None:
-        options["kernel"] = args.kernel
-
+    base = _base_budget(args)
     # Parse the workload on the shared wire-protocol path: malformed
     # lines are isolated exactly like item failures — a bad line yields
-    # an ERROR result line at its input position, not an abort.
+    # an ERROR result line at its input position, not an abort.  Each
+    # line's own deadline_ms / max_expansions / kernel apply exactly as
+    # they would over the wire.
     text = pathlib.Path(args.workload).read_text()
     parsed = parse_workload(text)
-    pairs = [(request.left, request.right) for request in parsed.requests]
+    pairs = [
+        (
+            request.left,
+            request.right,
+            request_budget(base, request.deadline_ms, request.max_expansions),
+            dict(request.options),
+        )
+        for request in parsed.requests
+    ]
     pair_ids = {
         position: request.id
         for position, request in enumerate(parsed.requests)
@@ -214,10 +200,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         pairs,
         workers=args.workers,
         backend=args.backend,
-        budget=budget,
         trace=args.trace,
         pool_deadline_ms=args.pool_deadline_ms,
-        **options,
+        **_kernel_option(args),
     )
 
     # Re-interleave parse failures at their original line positions.
@@ -249,6 +234,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(f"# {summary}", file=sys.stderr)
     had_errors = bool(batch.errors) or bool(parsed.failures)
     return 1 if had_errors else 0
+
+
+def _base_budget(args: argparse.Namespace):
+    """The budget the ``--deadline-ms`` / ``--auto-budget`` /
+    ``--max-expansions`` flags describe (None = unbounded)."""
+    from .budget import base_budget
+
+    return base_budget(args.deadline_ms, args.auto_budget, args.max_expansions)
+
+
+def _kernel_option(args: argparse.Namespace) -> dict[str, Any]:
+    return {} if args.kernel is None else {"kernel": args.kernel}
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -763,7 +763,7 @@ class ContainmentExecutor:
 
 
 def check_containment_many(
-    pairs: Iterable[tuple[Any, Any]],
+    pairs: Iterable[tuple],
     *,
     workers: int = DEFAULT_WORKERS,
     backend: str = "thread",
@@ -776,7 +776,10 @@ def check_containment_many(
 
     Args:
         pairs: an iterable of ``(q1, q2)`` query pairs (materialized up
-            front; results preserve this order).
+            front; results preserve this order).  An item may also be
+            ``(q1, q2, budget, options)``, carrying its own budget (in
+            place of *budget*) and options (over ``**options``), as a
+            workload line does.
         workers: pool width (default: core count, capped at 8).
         backend: ``"thread"`` or ``"process"`` (see module docstring
             for the sharing/parallelism trade-off).
@@ -798,7 +801,10 @@ def check_containment_many(
     _validate_pool_args(workers, backend, options)
     if pool_deadline_ms is not None and pool_deadline_ms < 0:
         raise ValueError("pool_deadline_ms must be >= 0")
-    items = list(pairs)
+    # A bare (q1, q2) pair takes the batch-wide budget and options.
+    items = [
+        tuple(item) if len(item) == 4 else (*item, budget, {}) for item in pairs
+    ]
     start = time.monotonic()
     slots: list[BatchItem | None] = [None] * len(items)
     if items:
@@ -807,9 +813,10 @@ def check_containment_many(
         ) as executor:
             futures: dict["concurrent.futures.Future[BatchItem]", int] = {
                 executor.submit(
-                    q1, q2, index=index, budget=budget, trace=trace
+                    q1, q2, index=index, budget=item_budget, trace=trace,
+                    options=item_options or None,
                 ): index
-                for index, (q1, q2) in enumerate(items)
+                for index, (q1, q2, item_budget, item_options) in enumerate(items)
             }
             if pool_deadline_ms is not None:
                 remaining = pool_deadline_ms / 1000.0 - (time.monotonic() - start)
@@ -823,7 +830,7 @@ def check_containment_many(
                             _degraded_result(
                                 pool_deadline_ms,
                                 elapsed_ms,
-                                kernel=options.get("kernel", "auto"),
+                                kernel=_item_kernel(items[index], options),
                             ),
                             0.0,
                             None,
@@ -840,7 +847,7 @@ def check_containment_many(
                     slots[index] = BatchItem(
                         index,
                         error_result(
-                            index, exc, kernel=options.get("kernel", "auto")
+                            index, exc, kernel=_item_kernel(items[index], options)
                         ),
                         0.0,
                         None,
@@ -866,6 +873,11 @@ def check_containment_many(
     _BATCH_WORKERS.set(workers)
     _BATCH_UTILIZATION.set(round(batch.worker_utilization, 4))
     return batch
+
+
+def _item_kernel(item: tuple, options: dict[str, Any]) -> str:
+    """The kernel an item requested: its own option, else the batch's."""
+    return {**options, **item[3]}.get("kernel", "auto")
 
 
 def sequential_baseline(

@@ -57,24 +57,9 @@ from .report import ContainmentResult, Counterexample, EquivalenceResult, Verdic
 
 #: Every option name any dispatch target understands.  Anything else is
 #: a typo and raises TypeError at the engine boundary instead of being
-#: silently discarded.
-_OPTION_UNIVERSE = frozenset(
-    {
-        "method",
-        "kernel",
-        "max_configs",
-        "max_expansions",
-        "max_total_length",
-        "max_applications",
-    }
-)
-
-#: Options that bound resources rather than select an algorithm.  They
-#: are excluded from the *exact* cache key: an exact verdict does not
-#: depend on how generous the bounds were.
-_BUDGET_OPTIONS = frozenset(
-    {"max_configs", "max_expansions", "max_total_length", "max_applications"}
-)
+#: silently discarded.  Both select an algorithm; resource bounds are
+#: ``budget=`` fields, never options.
+_OPTION_UNIVERSE = frozenset({"method", "kernel"})
 
 #: Staged-escalation schedule: round k gets geometrically larger limits.
 _ESCALATION_CONFIG_BASE = 4096
@@ -120,11 +105,11 @@ def check_containment(
             accumulate several checks into one tree.  The default
             ``False`` costs one pointer test — tracing is strictly
             pay-for-what-you-use.
-        **options: forwarded to the underlying procedure (e.g.
-            ``method=`` for 2RPQs, ``max_expansions=`` for the
-            expansion-based checks).  Unknown names raise TypeError;
-            names valid for *some* procedure but not the dispatched one
-            are dropped and recorded in ``details["ignored_options"]``.
+        **options: ``kernel=`` (``"subset" | "antichain" | "auto"``,
+            taken by every procedure) and ``method=`` (the 2RPQ fold
+            pipeline's complementation).  Unknown names raise
+            TypeError; ``method`` on a pair that dispatches elsewhere is
+            dropped and recorded in ``details["ignored_options"]``.
 
     Returns:
         A :class:`repro.core.report.ContainmentResult`; see its module
@@ -231,26 +216,20 @@ def _run_uncached(
     # remaining-deadline math, and the check_ms histogram can't drift.
     start = time.monotonic()
     with deadline_scope(budget):
-        result = _check_containment_uncached(q1, q2, budget, options, tracer)
-    if "budget" not in result.details:
-        result = dataclasses.replace(
-            result, details={**dict(result.details), "budget": {"spend": {}}}
+        result, ignored = _check_containment_uncached(
+            q1, q2, budget, options, tracer
         )
-    if "kernel" not in result.details:
-        # Procedures that run no language-inclusion search (expansion
-        # towers, homomorphism checks) select no kernel; record that
-        # honestly so every engine result carries the key — normalized
-        # before caching, so hits inherit it for free.
-        result = dataclasses.replace(
-            result,
-            details={
-                **dict(result.details),
-                "kernel": {
-                    "requested": options.get("kernel", "auto"),
-                    "selected": None,
-                },
-            },
-        )
+    details = dict(result.details)
+    details.setdefault("budget", {"spend": {}})
+    # Procedures that run no language-inclusion search (expansion
+    # towers, homomorphism checks) select no kernel; record that
+    # honestly so every engine result carries the key.
+    details.setdefault(
+        "kernel", {"requested": options.get("kernel", "auto"), "selected": None}
+    )
+    if ignored:
+        details["ignored_options"] = ignored
+    result = dataclasses.replace(result, details=details)
     _CHECK_MS.observe((time.monotonic() - start) * 1000.0)
     _VERDICT_COUNTERS[result.verdict].inc()
     return result
@@ -261,9 +240,9 @@ def _cache_keys(
 ) -> tuple[Any | None, Any | None]:
     """(exact_key, full_key) for the containment cache, or (None, None).
 
-    The exact key drops budget-ish options and the budget itself — an
-    exact verdict holds regardless of the bounds in force — and is
-    tagged so it can never collide with a full key.
+    The exact key drops the budget — an exact verdict holds regardless
+    of the bounds in force — and is tagged so it can never collide with
+    a full key.
     """
     if not caching_enabled():
         return None, None
@@ -275,10 +254,7 @@ def _cache_keys(
         hash(all_options)
     except TypeError:
         return None, None
-    exact_options = tuple(
-        item for item in all_options if item[0] not in _BUDGET_OPTIONS
-    )
-    exact_key = (left, right, exact_options, "exact")
+    exact_key = (left, right, all_options, "exact")
     full_key = (left, right, all_options, budget)
     return exact_key, full_key
 
@@ -360,7 +336,14 @@ def _escalate(
 
 def _check_containment_uncached(
     q1: Any, q2: Any, budget: Budget | None, options: dict, tracer=None
-) -> ContainmentResult:
+) -> tuple[ContainmentResult, tuple[str, ...]]:
+    """One procedure run, plus the names of the options it ignored.
+
+    Only ``method`` can be ignored: every procedure takes ``kernel``
+    (those that run no language-inclusion search validate it, and the
+    engine records ``selected: None``), but only the 2RPQ fold pipeline
+    has methods to choose from.
+    """
     class1, class2 = classify(q1), classify(q2)
     common = least_common_class(class1, class2)
     if tracer is not None:
@@ -376,138 +359,78 @@ def _check_containment_uncached(
             q1 = promote(promote(q1, QueryClass.RQ), QueryClass.DATALOG)
         else:
             q2 = promote(promote(q2, QueryClass.RQ), QueryClass.DATALOG)
-        return check_containment(
+        result = check_containment(
             q1, q2, budget=budget, trace=tracer if tracer is not None else False,
             **options,
         )
-
-    if common is QueryClass.RPQ:
-        picked, ignored = _pick(options, "kernel")
-        result = rpq_contained(
-            RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer, **picked
-        )
-        return _with_ignored(result, ignored)
+        return result, ()
     if common is QueryClass.TWO_RPQ:
-        picked, ignored = _pick(options, "method", "max_configs", "kernel")
         result = two_rpq_contained(
             promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
+            tracer=tracer, **options,
         )
-        return _with_ignored(result, ignored)
+        return result, ()
+    ignored = ("method",) if "method" in options else ()
+    kernel = options.get("kernel", "auto")
+    return _run_procedure(q1, q2, common, budget, kernel, tracer), ignored
+
+
+def _run_procedure(
+    q1: Any, q2: Any, common: QueryClass, budget: Budget | None, kernel: str, tracer
+) -> ContainmentResult:
+    """The decision procedure for *common*, any class but 2RPQ."""
+    if common is QueryClass.RPQ:
+        return rpq_contained(
+            RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer, kernel=kernel
+        )
     if common is QueryClass.UC2RPQ:
-        picked, ignored = _pick(options, "max_total_length", "max_expansions", "kernel")
-        result = uc2rpq_contained(
+        return uc2rpq_contained(
             promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
+            tracer=tracer, kernel=kernel,
         )
-        return _with_ignored(result, ignored)
     if common is QueryClass.RQ:
-        picked, ignored = _pick(options, "max_applications", "max_expansions", "kernel")
-        result = rq_contained(
+        return rq_contained(
             promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
+            tracer=tracer, kernel=kernel,
         )
-        return _with_ignored(result, ignored)
     if common is QueryClass.CQ or common is QueryClass.UCQ:
-        if isinstance(q1, Program) or isinstance(q2, Program):
-            return _nonrecursive_datalog_case(q1, q2, budget, options, tracer)
+        # UCQ-level checks where one side is a (nonrecursive) program.
+        if isinstance(q1, Program) and isinstance(q2, Program):
+            return datalog_in_datalog(
+                q1, q2, budget=budget, tracer=tracer, kernel=kernel
+            )
+        if isinstance(q1, Program):
+            return datalog_in_ucq(q1, q2, budget=budget, tracer=tracer, kernel=kernel)
+        if isinstance(q2, Program):
+            return ucq_in_datalog(q1, q2, tracer=tracer, kernel=kernel)
         # Chandra-Merlin is exact and terminating: no budget to thread.
-        # "kernel" is picked (and recorded via details["kernel"]
-        # normalization) rather than reported as ignored: it is a
-        # universal engine option, not a procedure-specific bound.
-        picked, ignored = _pick(options, "kernel")
         with maybe_span(tracer, "ucq-homomorphism"):
             result = ucq_contained(q1, q2)
         if result.holds:
-            return _with_ignored(
-                ContainmentResult(Verdict.HOLDS, "ucq-homomorphism"), ignored
-            )
+            return ContainmentResult(Verdict.HOLDS, "ucq-homomorphism")
         instance, head = result.counterexample  # type: ignore[misc]
-        return _with_ignored(
-            ContainmentResult(
-                Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
-            ),
-            ignored,
+        return ContainmentResult(
+            Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
         )
     if common in (QueryClass.GRQ, QueryClass.DATALOG):
         # A (U)CQ against a recursive program: the canonical-database /
         # expansion procedures are stronger than promoting the (U)CQ to
         # a one-rule-per-disjunct program (ucq_in_datalog is exact).
         if isinstance(q1, (CQ, UCQ)):
-            picked, ignored = _pick(options, "kernel")
-            return _with_ignored(
-                ucq_in_datalog(
-                    q1, promote(q2, QueryClass.DATALOG), tracer=tracer, **picked
-                ),
-                ignored,
+            return ucq_in_datalog(
+                q1, promote(q2, QueryClass.DATALOG), tracer=tracer, kernel=kernel
             )
         if isinstance(q2, (CQ, UCQ)):
-            picked, ignored = _pick(
-                options, "max_applications", "max_expansions", "kernel"
-            )
-            return _with_ignored(
-                datalog_in_ucq(
-                    promote(q1, QueryClass.DATALOG), q2, budget=budget,
-                    tracer=tracer, **picked,
-                ),
-                ignored,
+            return datalog_in_ucq(
+                promote(q1, QueryClass.DATALOG), q2, budget=budget,
+                tracer=tracer, kernel=kernel,
             )
         left = promote(q1, QueryClass.DATALOG)
         right = promote(q2, QueryClass.DATALOG)
-        picked, ignored = _pick(
-            options, "max_applications", "max_expansions", "kernel"
-        )
         if common is QueryClass.GRQ or (is_grq(left) and is_grq(right)):
-            return _with_ignored(
-                grq_contained(left, right, budget=budget, tracer=tracer, **picked),
-                ignored,
-            )
-        return _with_ignored(
-            datalog_in_datalog(left, right, budget=budget, tracer=tracer, **picked),
-            ignored,
-        )
+            return grq_contained(left, right, budget=budget, tracer=tracer, kernel=kernel)
+        return datalog_in_datalog(left, right, budget=budget, tracer=tracer, kernel=kernel)
     raise AssertionError(f"unhandled class {common}")  # pragma: no cover
-
-
-def _pick(options: dict, *allowed: str) -> tuple[dict, tuple[str, ...]]:
-    """Split options into those the chosen procedure understands and the rest.
-
-    The engine's **options surface is a union across procedures; a
-    bound meant for an expansion check must not crash the automata path
-    it did not end up taking — but neither may it vanish silently, so
-    the dropped names are returned for ``details["ignored_options"]``.
-    """
-    picked = {key: options[key] for key in allowed if key in options}
-    ignored = tuple(sorted(key for key in options if key not in allowed))
-    return picked, ignored
-
-
-def _with_ignored(
-    result: ContainmentResult, ignored: tuple[str, ...]
-) -> ContainmentResult:
-    if not ignored:
-        return result
-    return dataclasses.replace(
-        result, details={**dict(result.details), "ignored_options": ignored}
-    )
-
-
-def _nonrecursive_datalog_case(
-    q1: Any, q2: Any, budget: Budget | None, options: dict, tracer=None
-) -> ContainmentResult:
-    """UCQ-level checks where one side is a (nonrecursive) program."""
-    picked, ignored = _pick(options, "max_applications", "max_expansions", "kernel")
-    if isinstance(q1, Program) and isinstance(q2, Program):
-        return _with_ignored(
-            datalog_in_datalog(q1, q2, budget=budget, tracer=tracer, **picked),
-            ignored,
-        )
-    if isinstance(q1, Program):
-        return _with_ignored(
-            datalog_in_ucq(q1, q2, budget=budget, tracer=tracer, **picked), ignored
-        )
-    kernel_only, _ = _pick(picked, "kernel")
-    return _with_ignored(ucq_in_datalog(q1, q2, tracer=tracer, **kernel_only), ignored)
 
 
 def check_equivalence(

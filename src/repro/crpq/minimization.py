@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from ..automata.dfa import determinize, reduce_nfa
 from ..automata.state_elimination import nfa_to_regex
+from ..budget import Budget
 from ..report import Verdict
 from ..rpq.rpq import TwoRPQ
 from .containment import uc2rpq_contained
@@ -56,17 +57,18 @@ def canonicalize_atoms(query: C2RPQ) -> C2RPQ:
 
 def minimize_c2rpq(
     query: C2RPQ,
-    max_total_length: int = 6,
     allow_bounded: bool = False,
+    budget: Budget | None = None,
 ) -> C2RPQ:
     """Drop redundant atoms (the graph-side core computation).
 
     Args:
         query: the C2RPQ to minimize.
-        max_total_length: expansion bound for the containment checks.
         allow_bounded: also drop atoms justified only up to the bound
             (the result is then equivalent *up to that evidence*; leave
             False for guaranteed-equivalent output).
+        budget: optional :class:`repro.budget.Budget` for each
+            containment check (e.g. its ``max_total_length``).
     """
     current = query
     changed = True
@@ -80,9 +82,7 @@ def minimize_c2rpq(
             if not set(current.head_vars) <= remaining_vars:
                 continue
             candidate = C2RPQ(current.head_vars, candidate_atoms)
-            verdict = uc2rpq_contained(
-                candidate, current, max_total_length=max_total_length
-            ).verdict
+            verdict = uc2rpq_contained(candidate, current, budget=budget).verdict
             if _acceptable(verdict, allow_bounded):
                 current = candidate
                 changed = True
@@ -92,19 +92,19 @@ def minimize_c2rpq(
 
 def minimize_uc2rpq(
     query: UC2RPQ | C2RPQ,
-    max_total_length: int = 6,
     allow_bounded: bool = False,
+    budget: Budget | None = None,
 ) -> UC2RPQ:
     """Minimize each disjunct, then prune subsumed disjuncts."""
     union = query if isinstance(query, UC2RPQ) else UC2RPQ((query,))
     disjuncts = [
-        minimize_c2rpq(d, max_total_length, allow_bounded) for d in union
+        minimize_c2rpq(d, allow_bounded, budget) for d in union
     ]
     index = 0
     while index < len(disjuncts) and len(disjuncts) > 1:
         rest = disjuncts[:index] + disjuncts[index + 1 :]
         verdict = uc2rpq_contained(
-            disjuncts[index], UC2RPQ(tuple(rest)), max_total_length=max_total_length
+            disjuncts[index], UC2RPQ(tuple(rest)), budget=budget
         ).verdict
         if _acceptable(verdict, allow_bounded):
             disjuncts = rest

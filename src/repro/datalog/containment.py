@@ -19,10 +19,10 @@ shortcut.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Callable, Mapping
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, BudgetExhausted, bounded_result
+from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..cq.containment import ucq_contained
 from ..cq.evaluation import satisfies_ucq
 from ..cq.syntax import CQ, UCQ
@@ -36,17 +36,85 @@ from .unfolding import enumerate_expansions, unfold_nonrecursive
 
 DEFAULT_EXPANSION_BUDGET = 2000
 
+#: Default limits of the Datalog procedures, for fields a caller's
+#: budget leaves unset.  There is no default application bound: the
+#: expansion cap alone bounds the search.
+DEFAULT_LIMITS = {"max_expansions": DEFAULT_EXPANSION_BUDGET}
 
-def _effective_bounds(budget, max_applications, max_expansions):
-    """Budget fields override the legacy kwargs; deadline gets a meter."""
-    app_bound, exp_bound, meter = max_applications, max_expansions, None
+
+def expansion_check(
+    program: Program,
+    refute: Callable[[Instance, Any], Counterexample | None],
+    method: str,
+    budget: Budget | None,
+    defaults: Mapping[str, int | None],
+    *,
+    exhaustive: bool,
+    tracer=None,
+) -> ContainmentResult:
+    """The expansion loop shared by every Datalog-image procedure.
+
+    Enumerates *program*'s expansions, builds each one's canonical
+    instance, and asks *refute* for a counterexample on it (an exact
+    membership test: None means the expansion is contained).  The first
+    counterexample is an exact REFUTED.  If none turns up, the verdict
+    is HOLDS when *exhaustive* (a nonrecursive program, whose finite
+    expansion space is enumerated unbounded) and HOLDS_UP_TO_BOUND
+    otherwise.
+
+    The limits are *budget*'s ``max_applications`` / ``max_expansions``,
+    with *defaults* filling the fields it leaves unset; they bound the
+    enumerator.  A non-null *budget* also starts a meter for its
+    deadline, which accounts expansions for the spend report; a spent
+    deadline comes back as a structured verdict, never an exception.
+    An optional *tracer* records an ``expansion-loop`` span counting
+    expansions.
+    """
+    limits = (budget or UNLIMITED).merged(**defaults)
+    meter = None
     if budget is not None and not budget.is_null:
-        if budget.max_applications is not None:
-            app_bound = budget.max_applications
-        if budget.max_expansions is not None:
-            exp_bound = budget.max_expansions
         meter = Budget(deadline_ms=budget.deadline_ms).start()
-    return app_bound, exp_bound, meter
+    iterator = enumerate_expansions(
+        program,
+        max_applications=None if exhaustive else limits.max_applications,
+        max_expansions=None if exhaustive else limits.max_expansions,
+        meter=meter,
+    )
+    checked = 0
+    try:
+        with maybe_span(tracer, "expansion-loop", exhaustive=exhaustive) as span:
+            try:
+                for expansion in iterator:
+                    checked += 1
+                    if meter is not None:
+                        meter.note("expansions")
+                    counterexample = refute(*expansion.canonical_instance())
+                    if counterexample is not None:
+                        return ContainmentResult(
+                            Verdict.REFUTED,
+                            method,
+                            counterexample,
+                            details={"expansions_checked": checked},
+                        )
+            finally:
+                span.count("expansions", checked)
+    except BudgetExhausted as exc:
+        return bounded_result(
+            method, exc, meter, details={"expansions_checked": checked}
+        )
+    details: dict[str, Any] = {"expansions_checked": checked}
+    if exhaustive:
+        return ContainmentResult(Verdict.HOLDS, method, details=details)
+    if limits.max_applications is not None:
+        details["max_applications"] = limits.max_applications
+    if meter is not None:
+        details["budget"] = {"spend": meter.spend()}
+    return ContainmentResult(
+        Verdict.HOLDS_UP_TO_BOUND,
+        method,
+        bound=limits.max_expansions,
+        details=details,
+    )
 
 
 def cq_in_datalog(cq: CQ, program: Program) -> ContainmentResult:
@@ -92,8 +160,6 @@ def ucq_in_datalog(
 def datalog_in_ucq(
     program: Program,
     ucq: UCQ | CQ,
-    max_applications: int | None = None,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -103,14 +169,14 @@ def datalog_in_ucq(
     Exact (HOLDS/REFUTED) for nonrecursive programs; for recursive
     programs a REFUTED verdict is exact and a positive verdict is
     ``HOLDS_UP_TO_BOUND`` over the explored expansions.  An optional
-    *budget*'s ``max_applications`` / ``max_expansions`` fields override
-    the legacy kwargs; its deadline is polled cooperatively and produces
-    a structured verdict, never an exception.  An optional *tracer*
-    records an ``unfold-to-ucq`` span (nonrecursive path) or an
-    ``expansion-loop`` span counting expansions.  *kernel* is accepted
-    for engine-wide option uniformity and validated eagerly; the
-    expansion procedure runs no language-inclusion search (the engine
-    records ``selected: None``).
+    *budget*'s ``max_applications`` / ``max_expansions`` fields bound the
+    expansion search (defaults: :data:`DEFAULT_LIMITS`); its deadline is
+    polled cooperatively and produces a structured verdict, never an
+    exception.  An optional *tracer* records an ``unfold-to-ucq`` span
+    (nonrecursive path) or an ``expansion-loop`` span counting
+    expansions.  *kernel* is accepted for engine-wide option uniformity
+    and validated eagerly; the expansion procedure runs no
+    language-inclusion search (the engine records ``selected: None``).
     """
     resolve_kernel(kernel)
     union = ucq if isinstance(ucq, UCQ) else UCQ((ucq,))
@@ -125,52 +191,21 @@ def datalog_in_ucq(
         return ContainmentResult(
             Verdict.REFUTED, "unfold-to-ucq", Counterexample(instance, head)
         )
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
-    )
-    explored = 0
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=False) as span:
-            try:
-                for expansion in enumerate_expansions(
-                    program,
-                    max_applications=app_bound,
-                    max_expansions=exp_bound,
-                    meter=meter,
-                ):
-                    explored += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, head = expansion.canonical_instance()
-                    if not satisfies_ucq(union, instance, head):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "expansion",
-                            Counterexample(instance, head),
-                            details={"expansions_checked": explored},
-                        )
-            finally:
-                span.count("expansions", explored)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "expansion", exc, meter, details={"expansions_checked": explored}
-        )
-    details = {"expansions_checked": explored}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
-        "expansion",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
+
+    def refute(instance: Instance, head: Any) -> Counterexample | None:
+        if satisfies_ucq(union, instance, head):
+            return None
+        return Counterexample(instance, head)
+
+    return expansion_check(
+        program, refute, "expansion", budget, DEFAULT_LIMITS,
+        exhaustive=False, tracer=tracer,
     )
 
 
 def datalog_in_datalog(
     left: Program,
     right: Program,
-    max_applications: int | None = None,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -182,72 +217,38 @@ def datalog_in_datalog(
     of expansions with terminating evaluation.  Undecidable in general
     [52], hence the bounded verdict; REFUTED is always exact, and a
     nonrecursive *left* exhausts its finite expansion space, upgrading
-    the positive verdict to HOLDS.  An optional *budget* overrides the
-    legacy kwargs and adds cooperative deadline polling (structured
-    verdict on exhaustion, never an exception).  *kernel* is accepted
-    for engine-wide option uniformity and validated eagerly; the
-    expansion procedure runs no language-inclusion search (the engine
-    records ``selected: None``).
+    the positive verdict to HOLDS.  An optional *budget* bounds the
+    expansion search (defaults: :data:`DEFAULT_LIMITS`) and adds
+    cooperative deadline polling (structured verdict on exhaustion,
+    never an exception).  *kernel* is accepted for engine-wide option
+    uniformity and validated eagerly; the expansion procedure runs no
+    language-inclusion search (the engine records ``selected: None``).
     """
     resolve_kernel(kernel)
     if left.goal_arity != right.goal_arity:
         raise ValueError("arity mismatch between program goals")
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
+    return expansion_check(
+        left, evaluation_refutes(right), "expansion-vs-evaluation", budget,
+        DEFAULT_LIMITS, exhaustive=is_nonrecursive(left), tracer=tracer,
     )
-    explored = 0
-    exhausted = is_nonrecursive(left)
-    iterator = enumerate_expansions(
-        left,
-        max_applications=None if exhausted else app_bound,
-        max_expansions=None if exhausted else exp_bound,
-        meter=meter,
-    )
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=exhausted) as span:
-            try:
-                for expansion in iterator:
-                    explored += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, head = expansion.canonical_instance()
-                    if head not in evaluate(right, instance):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "expansion-vs-evaluation",
-                            Counterexample(instance, head),
-                            details={"expansions_checked": explored},
-                        )
-            finally:
-                span.count("expansions", explored)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "expansion-vs-evaluation",
-            exc,
-            meter,
-            details={"expansions_checked": explored},
-        )
-    if exhausted:
-        return ContainmentResult(
-            Verdict.HOLDS,
-            "expansion-vs-evaluation",
-            details={"expansions_checked": explored},
-        )
-    details = {"expansions_checked": explored}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
-        "expansion-vs-evaluation",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
-    )
+
+
+def evaluation_refutes(
+    program: Program,
+) -> Callable[[Instance, Any], Counterexample | None]:
+    """The refutation test "*program* does not derive the head"."""
+
+    def refute(instance: Instance, head: Any) -> Counterexample | None:
+        if head in evaluate(program, instance):
+            return None
+        return Counterexample(instance, head)
+
+    return refute
 
 
 def datalog_equivalent_bounded(
     left: Program,
     right: Program,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     exact: bool = False,
     budget: Budget | None = None,
 ) -> EquivalenceResult:
@@ -258,7 +259,7 @@ def datalog_equivalent_bounded(
     not count and are surfaced via ``bounded_directions``.
     """
     return EquivalenceResult(
-        datalog_in_datalog(left, right, max_expansions=max_expansions, budget=budget),
-        datalog_in_datalog(right, left, max_expansions=max_expansions, budget=budget),
+        datalog_in_datalog(left, right, budget=budget),
+        datalog_in_datalog(right, left, budget=budget),
         exact=exact,
     )

@@ -28,7 +28,7 @@ from ..automata.fold import fold_two_nfa
 from ..automata.nfa import NFA, Word
 from ..automata.onthefly import find_accepted_word
 from ..automata.shepherdson import LazyShepherdsonComplement
-from ..budget import Budget, BudgetExhausted, as_budget, bounded_result, deadline_scope
+from ..budget import Budget, BudgetExhausted, bounded_result, deadline_scope
 from ..obs.trace import maybe_span
 from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
 from ..graphdb.database import canonical_database_of_word
@@ -94,7 +94,6 @@ def two_rpq_contained(
     q1: TwoRPQ,
     q2: TwoRPQ,
     method: TwoRPQMethod = "shepherdson",
-    max_configs: int | None = None,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -113,12 +112,11 @@ def two_rpq_contained(
             - ``"lemma4-materialized"``: Lemma 4 complement fully built,
               then an explicit product; only viable for tiny queries,
               used by benchmark E4/E5 as the measured upper bound.
-        max_configs: deprecated alias for ``budget=Budget(max_configs=...)``
-            (a bound on product configurations; for the materialized
-            method it also bounds the complement's state count).
-        budget: optional :class:`repro.budget.Budget`.  Exhaustion of
-            any resource returns a structured bounded/inconclusive
-            verdict — this procedure never raises on budget exhaustion.
+        budget: optional :class:`repro.budget.Budget`: ``max_configs``
+            bounds product configurations, ``max_states`` the
+            materialized method's complement.  Exhaustion of any
+            resource returns a structured bounded/inconclusive verdict
+            — this procedure never raises on budget exhaustion.
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
             ``fold`` span plus the method-specific search/complement
             stage spans.
@@ -130,13 +128,12 @@ def two_rpq_contained(
     from ..automata.antichain import resolve_kernel
 
     resolve_kernel(kernel)  # reject typos before any automata work
-    eff = as_budget(budget, max_configs=max_configs, max_states=max_configs)
-    meter = None if eff.is_null else eff.start()
+    meter = None if budget is None or budget.is_null else budget.start()
     method_name = f"2rpq-fold-{method}"
     sigma_pm = _combined_alphabet(q1, q2).two_way
     kstats: dict = {"requested": kernel}
     try:
-        with deadline_scope(eff):
+        with deadline_scope(budget):
             with maybe_span(tracer, "fold", nfa_states=q2.nfa.num_states) as span:
                 folded = fold_two_nfa(q2.nfa, sigma_pm)
                 span.annotate(two_nfa_states=folded.num_states)
@@ -161,9 +158,7 @@ def two_rpq_contained(
                 )
             elif method == "lemma4-materialized":
                 kstats.update(selected="subset", pipeline="materialized")
-                complement = complement_two_nfa(
-                    folded, max_states=eff.max_states, meter=meter, tracer=tracer
-                )
+                complement = complement_two_nfa(folded, meter=meter, tracer=tracer)
                 if meter is not None:
                     meter.check_deadline()
                 with maybe_span(tracer, "product") as span:

@@ -16,13 +16,15 @@ run beyond toy sizes; the bound is the calibrated substitute.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, BudgetExhausted, bounded_result
+from ..budget import Budget
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from ..report import ContainmentResult, Counterexample, EquivalenceResult
 from ..datalog.analysis import is_nonrecursive
-from ..datalog.unfolding import enumerate_expansions
-from ..relational.instance import instance_to_graph
+from ..datalog.containment import expansion_check
+from ..relational.instance import Instance, instance_to_graph
 from .evaluation import satisfies_rq
 from .syntax import RQ
 from .to_datalog import rq_to_datalog
@@ -30,12 +32,16 @@ from .to_datalog import rq_to_datalog
 DEFAULT_EXPANSION_BUDGET = 3000
 DEFAULT_APPLICATION_BOUND = 20
 
+#: Limits for the fields a caller's budget leaves unset.
+DEFAULT_LIMITS = {
+    "max_applications": DEFAULT_APPLICATION_BOUND,
+    "max_expansions": DEFAULT_EXPANSION_BUDGET,
+}
+
 
 def rq_contained(
     q1: RQ,
     q2: RQ,
-    max_applications: int | None = DEFAULT_APPLICATION_BOUND,
-    max_expansions: int | None = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -44,15 +50,15 @@ def rq_contained(
 
     Args:
         q1, q2: RQ algebra terms of equal arity.
-        max_applications: bound on rule applications per expansion of
-            ``q1``'s Datalog image (each transitive-closure unrolling
-            step costs one application).  Ignored when ``q1`` is
-            TC-free, whose expansion space is finite.
-        max_expansions: overall cap on expansions examined.
-        budget: optional :class:`repro.budget.Budget`; its
-            ``max_applications`` / ``max_expansions`` fields, when set,
-            override the legacy kwargs, and its deadline interrupts the
-            enumeration cooperatively (structured verdict, no exception).
+        budget: optional :class:`repro.budget.Budget`.  Its
+            ``max_applications`` bounds rule applications per expansion
+            of ``q1``'s Datalog image (each transitive-closure unrolling
+            step costs one application) and ``max_expansions`` the
+            expansions examined; both are ignored when ``q1`` is
+            TC-free, whose expansion space is finite.  Unset fields take
+            :data:`DEFAULT_LIMITS`.  Its deadline interrupts the
+            enumeration cooperatively (structured verdict, no
+            exception).
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
             ``translate-datalog`` span for the Section 4.1 translation
             and an ``expansion-loop`` span counting expansions.
@@ -66,67 +72,21 @@ def rq_contained(
         raise ValueError(
             f"containment between arities {q1.arity} and {q2.arity} is ill-typed"
         )
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
-    )
     with maybe_span(tracer, "translate-datalog") as span:
         program = rq_to_datalog(q1)
         exhaustive = is_nonrecursive(program)
         span.annotate(rules=len(program.rules), nonrecursive=exhaustive)
-    iterator = enumerate_expansions(
-        program,
-        max_applications=None if exhaustive else app_bound,
-        max_expansions=None if exhaustive else exp_bound,
-        meter=meter,
-    )
-    checked = 0
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=exhaustive) as span:
-            try:
-                for expansion in iterator:
-                    checked += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, frozen_head = expansion.canonical_instance()
-                    graph = instance_to_graph(instance)
-                    if not satisfies_rq(q2, graph, frozen_head):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "rq-expansion",
-                            Counterexample(graph, frozen_head),
-                            details={"expansions_checked": checked},
-                        )
-            finally:
-                span.count("expansions", checked)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "rq-expansion", exc, meter, details={"expansions_checked": checked}
-        )
-    if exhaustive:
-        return ContainmentResult(
-            Verdict.HOLDS, "rq-expansion", details={"expansions_checked": checked}
-        )
-    details = {"expansions_checked": checked, "max_applications": app_bound}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
-        "rq-expansion",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
-    )
 
+    def refute(instance: Instance, head: Any) -> Counterexample | None:
+        graph = instance_to_graph(instance)
+        if satisfies_rq(q2, graph, head):
+            return None
+        return Counterexample(graph, head)
 
-def _effective_bounds(budget, max_applications, max_expansions):
-    """Budget fields override the legacy kwargs; deadline gets a meter."""
-    app_bound, exp_bound, meter = max_applications, max_expansions, None
-    if budget is not None and not budget.is_null:
-        if budget.max_applications is not None:
-            app_bound = budget.max_applications
-        if budget.max_expansions is not None:
-            exp_bound = budget.max_expansions
-        meter = Budget(deadline_ms=budget.deadline_ms).start()
-    return app_bound, exp_bound, meter
+    return expansion_check(
+        program, refute, "rq-expansion", budget, DEFAULT_LIMITS,
+        exhaustive=exhaustive, tracer=tracer,
+    )
 
 
 def rq_equivalent(

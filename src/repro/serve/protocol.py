@@ -24,11 +24,13 @@ Request frames::
   :class:`ProtocolError`: a remote peer must never be able to make the
   server read its own filesystem.  ``id`` is optional and echoed back
   verbatim (the frame index is the fallback identity).
-- ``deadline_ms`` is the per-request wall-clock deadline the server
-  inherits into the check's :class:`repro.budget.Budget` (it can only
-  *tighten* the server default, never extend it).
-- ``kernel`` / ``max_expansions`` are per-request engine options,
-  validated here so a bad value is an error *response*, not a dropped
+- ``deadline_ms`` and ``max_expansions`` are fields of the check's
+  :class:`repro.budget.Budget`: the request's budget is the server's
+  default with these laid on top (:func:`repro.budget.request_budget`).
+  ``deadline_ms`` can only *tighten* the default deadline, never extend
+  it; ``max_expansions`` replaces the default expansion cap.
+- ``kernel`` is the per-request engine option.  All three are validated
+  here, so a bad value is an error *response*, not a dropped
   connection.
 - ``request_id`` is the request-scoped telemetry identity: if a client
   supplies one it is propagated verbatim into the access log, flight
@@ -139,8 +141,9 @@ class ContainRequest:
         id: the caller's identifier (frame index when absent).
         left / right: the parsed query objects.
         deadline_ms: per-request wall-clock deadline, or None.
-        options: validated per-request engine options
-            (``kernel`` / ``max_expansions`` only).
+        max_expansions: per-request expansion cap, or None.
+        options: validated per-request engine options (``kernel``
+            only).
         request_id: client-supplied telemetry identity (None = the
             server assigns one).
     """
@@ -150,6 +153,7 @@ class ContainRequest:
     left: Any
     right: Any
     deadline_ms: float | None = None
+    max_expansions: int | None = None
     options: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     request_id: str | None = None
 
@@ -232,19 +236,19 @@ def parse_frame(
         except Exception as exc:
             raise ProtocolError(str(exc)) from None
         options["kernel"] = kernel
-    if record.get("max_expansions") is not None:
-        max_expansions = record["max_expansions"]
+    max_expansions = record.get("max_expansions")
+    if max_expansions is not None:
         if not isinstance(max_expansions, int) or isinstance(
             max_expansions, bool
         ) or max_expansions < 1:
             raise ProtocolError("max_expansions must be a positive integer")
-        options["max_expansions"] = max_expansions
     return ContainRequest(
         index=index,
         id=identifier,
         left=parse_query_spec(record["left"], allow_files=allow_files),
         right=parse_query_spec(record["right"], allow_files=allow_files),
         deadline_ms=deadline_ms,
+        max_expansions=max_expansions,
         options=options,
         request_id=request_id,
     )

@@ -64,7 +64,7 @@ import sys
 import time
 from typing import Any
 
-from ..budget import Budget
+from ..budget import base_budget, request_budget
 from ..cache import cache_stats
 from ..core.batch import DEFAULT_WORKERS, BatchItem, ContainmentExecutor
 from ..obs.env import environment_fingerprint
@@ -117,8 +117,11 @@ class ServeConfig:
         drain_grace_ms: after drain starts, how long connections may
             keep sending frames (each shed immediately) before the
             server stops reading and closes them.
-        kernel / max_expansions: default engine options (frames may
-            override per request).
+        kernel: default engine option (frames may override it per
+            request).
+        max_expansions: default expansion cap, a field of the server's
+            default budget (frames may override it per request; with
+            ``auto_budget`` it stays fixed across escalation rounds).
         access_log: NDJSON access-log path (None = no access log);
             one record per served frame, written off the event loop.
         slow_ms: flight-recorder slow threshold — requests at or above
@@ -211,8 +214,6 @@ class ContainmentServer:
         options: dict[str, Any] = {}
         if config.kernel is not None:
             options["kernel"] = config.kernel
-        if config.max_expansions is not None:
-            options["max_expansions"] = config.max_expansions
         # Constructing the executor validates workers/backend/options
         # eagerly — a bad server config fails at startup, never per
         # request.
@@ -225,14 +226,9 @@ class ContainmentServer:
                 default_deadline_ms=config.deadline_ms,
             )
         )
-        if config.auto_budget:
-            self._base_budget: Budget | None = Budget.auto(
-                deadline_ms=config.deadline_ms
-            ) if config.deadline_ms is not None else Budget.auto()
-        elif config.deadline_ms is not None:
-            self._base_budget = Budget(deadline_ms=config.deadline_ms)
-        else:
-            self._base_budget = None
+        self._base_budget = base_budget(
+            config.deadline_ms, config.auto_budget, config.max_expansions
+        )
         self._draining = asyncio.Event()
         self._drain_deadline: float | None = None
         self._started = time.monotonic()
@@ -418,9 +414,9 @@ class ContainmentServer:
         start_deadline = (
             admitted_at + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
-        budget: Budget | None = self._base_budget
-        if frame.deadline_ms is not None:
-            budget = (budget or Budget()).tightened(frame.deadline_ms)
+        budget = request_budget(
+            self._base_budget, frame.deadline_ms, frame.max_expansions
+        )
         # Snapshot the queue depth on the event loop now: the spec
         # fires in a worker (a thread here, a separate *process* on
         # backend="process"), and the controller's state is

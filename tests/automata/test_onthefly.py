@@ -3,14 +3,11 @@
 import pytest
 
 from repro.automata.nfa import NFA
-from repro.automata.onthefly import (
-    SearchBudgetExceeded,
-    find_accepted_word,
-    intersection_is_empty,
-)
+from repro.automata.onthefly import find_accepted_word, intersection_is_empty
 from repro.automata.regex import parse_regex
 from repro.automata.shepherdson import LazyShepherdsonComplement
 from repro.automata.two_nfa import one_way_as_two_way
+from repro.budget import Budget, BudgetExhausted
 
 
 def wrap(text: str) -> NFA:
@@ -43,12 +40,13 @@ class TestFindAcceptedWord:
         assert find_accepted_word([empty, wrap("a")], ("a",)) is None
 
     def test_budget_raises(self):
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(BudgetExhausted) as info:
             find_accepted_word(
                 [wrap("(a|b)(a|b)(a|b)(a|b)"), wrap("b b b b")],
                 ("a", "b"),
-                max_configs=2,
+                meter=Budget(max_configs=2).start(),
             )
+        assert info.value.resource == "configs" and info.value.limit == 2
 
     def test_kernel_stats_populated(self):
         stats: dict = {}

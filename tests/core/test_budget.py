@@ -1,11 +1,12 @@
 """Tests for the unified resource governor (repro.budget) and its
-integration through the engine: graceful degradation, legacy kwarg
-aliases, option validation, bound-aware caching, staged escalation, and
-deadline compliance on a complement blow-up pair.
+integration through the engine: graceful degradation, tower defaults
+under a budget, option validation, bound-aware caching, staged
+escalation, and deadline compliance on a complement blow-up pair.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -14,8 +15,9 @@ from repro.budget import (
     UNLIMITED,
     Budget,
     BudgetExhausted,
-    as_budget,
+    base_budget,
     bounded_result,
+    request_budget,
 )
 from repro.cache import cache_stats, clear_caches
 from repro.core.engine import check_containment, check_equivalence
@@ -56,12 +58,30 @@ class TestBudgetSpec:
         with pytest.raises(TypeError):
             Budget().merged(max_widgets=1)
 
-    def test_as_budget_legacy_aliases(self):
-        assert as_budget(None) is UNLIMITED
-        assert as_budget(None, max_configs=4).max_configs == 4
-        eff = as_budget(Budget(max_configs=9), max_configs=4, max_states=2)
+    def test_merged_fills_unset_fields_from_defaults(self):
+        # How a tower lays its default limits under the caller's budget.
+        assert UNLIMITED.merged() == UNLIMITED
+        assert UNLIMITED.merged(max_configs=4).max_configs == 4
+        eff = Budget(max_configs=9).merged(max_configs=4, max_states=2)
         assert eff.max_configs == 9  # explicit Budget field wins
-        assert eff.max_states == 2  # unset field filled by legacy kwarg
+        assert eff.max_states == 2  # unset field filled by the default
+
+    def test_base_budget_from_operator_flags(self):
+        assert base_budget() is None
+        assert base_budget(deadline_ms=50.0) == Budget(deadline_ms=50.0)
+        assert base_budget(auto=True) == Budget.auto()
+        assert base_budget(deadline_ms=5000.0, auto=True) == Budget.auto(5000.0)
+        pinned = base_budget(auto=True, max_expansions=3)
+        assert pinned.escalate and pinned.max_expansions == 3
+
+    def test_request_budget_lays_frame_fields_on_the_base(self):
+        base = Budget(deadline_ms=100.0, max_expansions=50)
+        assert request_budget(base) is base
+        assert request_budget(None) is None
+        assert request_budget(None, max_expansions=7) == Budget(max_expansions=7)
+        tighter = request_budget(base, deadline_ms=500.0, max_expansions=7)
+        assert tighter == Budget(deadline_ms=100.0, max_expansions=7)
+        assert request_budget(base, deadline_ms=20.0).deadline_ms == 20.0
 
     def test_auto_budget_escalates_with_deadline(self):
         auto = Budget.auto()
@@ -118,13 +138,16 @@ class TestBoundedResult:
 
 
 class TestSearchBudgetNoLongerLeaks:
-    """Satellite 1: max_configs used to raise SearchBudgetExceeded out of
-    two_rpq_contained / check_containment; it must degrade instead."""
+    """A tiny configuration budget used to raise a kernel exception out
+    of two_rpq_contained / check_containment; it must degrade instead."""
 
     @pytest.mark.parametrize("method", ["shepherdson", "lemma4-onthefly"])
     def test_tiny_max_configs_returns_bounded_verdict(self, method):
         result = two_rpq_contained(
-            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), method=method, max_configs=1
+            TwoRPQ.parse("p"),
+            TwoRPQ.parse("p p- p"),
+            method=method,
+            budget=Budget(max_configs=1),
         )
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.details["budget"]["exhausted"] == "configs"
@@ -135,24 +158,25 @@ class TestSearchBudgetNoLongerLeaks:
             TwoRPQ.parse("p"),
             TwoRPQ.parse("p p- p"),
             method="lemma4-materialized",
-            max_configs=1,
+            budget=Budget(max_configs=1, max_states=1),
         )
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.details["budget"]["exhausted"] in ("states", "configs")
 
     def test_engine_route_never_raises(self):
         result = check_containment(
-            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), max_configs=1
+            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), budget=Budget(max_configs=1)
         )
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
 
     def test_direct_kernel_callers_keep_the_exception(self):
-        from repro.automata.onthefly import SearchBudgetExceeded, find_accepted_word
+        from repro.automata.onthefly import find_accepted_word
 
         nfa = RPQ.parse("a a a").nfa
-        with pytest.raises(SearchBudgetExceeded):
-            find_accepted_word([nfa], ("a",), max_configs=1)
-        assert issubclass(SearchBudgetExceeded, BudgetExhausted)
+        with pytest.raises(BudgetExhausted) as info:
+            find_accepted_word([nfa], ("a",), meter=Budget(max_configs=1).start())
+        assert info.value.resource == "configs"
+        assert info.value.limit == 1
 
 
 class TestDeadlineNeverRaises:
@@ -190,7 +214,9 @@ class TestDeadlineNeverRaises:
 
     def test_datalog(self, tight):
         tc = transitive_closure_program("e", "tc")
-        result = check_containment(tc, tc, max_expansions=50, budget=tight)
+        result = check_containment(
+            tc, tc, budget=dataclasses.replace(tight, max_expansions=50)
+        )
         assert result.verdict in (
             Verdict.HOLDS_UP_TO_BOUND,
             Verdict.INCONCLUSIVE,
@@ -199,7 +225,9 @@ class TestDeadlineNeverRaises:
     def test_grq(self, tight):
         left = transitive_closure_program("edge", "tc")
         right = transitive_closure_program("edge", "tc", left_linear=False)
-        result = check_containment(left, right, max_expansions=25, budget=tight)
+        result = check_containment(
+            left, right, budget=dataclasses.replace(tight, max_expansions=25)
+        )
         assert result.verdict is not Verdict.REFUTED
 
     def test_cross_tower(self, tight):
@@ -222,13 +250,24 @@ class TestOptionValidation:
         with pytest.raises(TypeError, match="budget"):
             check_containment(RPQ.parse("a"), RPQ.parse("a|b"), budget=42)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["max_configs", "max_states", "max_expansions", "max_total_length",
+         "max_applications"],
+    )
+    def test_budget_fields_are_not_options(self, name):
+        # Bounds are Budget fields only: an option spelling of one is a
+        # TypeError, never a second route that silently disagrees.
+        with pytest.raises(TypeError, match=name):
+            check_containment(RPQ.parse("a"), RPQ.parse("a|b"), **{name: 3})
+
     def test_ignored_options_are_recorded(self):
-        # max_total_length belongs to the UC2RPQ procedure; an RPQ pair
+        # method belongs to the 2RPQ fold pipeline; an RPQ pair
         # dispatches past it.
         result = check_containment(
-            RPQ.parse("a"), RPQ.parse("a|b"), max_total_length=3
+            RPQ.parse("a"), RPQ.parse("a|b"), method="shepherdson"
         )
-        assert result.details["ignored_options"] == ("max_total_length",)
+        assert result.details["ignored_options"] == ("method",)
 
     def test_applicable_options_are_not_recorded_as_ignored(self):
         result = check_containment(
@@ -240,9 +279,9 @@ class TestOptionValidation:
 class TestBoundAwareCache:
     def test_small_budget_then_large_budget_reaches_exact(self):
         q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
-        first = check_containment(q1, q2, max_configs=1)
+        first = check_containment(q1, q2, budget=Budget(max_configs=1))
         assert first.verdict is Verdict.HOLDS_UP_TO_BOUND
-        second = check_containment(q1, q2, max_configs=10_000)
+        second = check_containment(q1, q2, budget=Budget(max_configs=10_000))
         assert second.verdict is Verdict.HOLDS
         assert second.details["cache"] == "miss"  # not shadowed by the bounded entry
 
@@ -250,14 +289,14 @@ class TestBoundAwareCache:
         q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
         exact = check_containment(q1, q2)
         assert exact.verdict is Verdict.HOLDS
-        replay = check_containment(q1, q2, max_configs=1)
+        replay = check_containment(q1, q2, budget=Budget(max_configs=1))
         assert replay.verdict is Verdict.HOLDS
         assert replay.details["cache"] == "hit"
 
     def test_same_bounded_budget_is_still_cached(self):
         q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
-        check_containment(q1, q2, max_configs=1)
-        repeat = check_containment(q1, q2, max_configs=1)
+        check_containment(q1, q2, budget=Budget(max_configs=1))
+        repeat = check_containment(q1, q2, budget=Budget(max_configs=1))
         assert repeat.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert repeat.details["cache"] == "hit"
 
@@ -312,8 +351,10 @@ class TestEquivalenceStrictness:
 
     def test_bounded_direction_fails_exact_but_not_lenient(self):
         tc = transitive_closure_program("e", "tc")
-        lenient = check_equivalence(tc, tc, max_expansions=10)
-        strict = check_equivalence(tc, tc, max_expansions=10, exact=True)
+        lenient = check_equivalence(tc, tc, budget=Budget(max_expansions=10))
+        strict = check_equivalence(
+            tc, tc, budget=Budget(max_expansions=10), exact=True
+        )
         assert isinstance(lenient, EquivalenceResult)
         assert lenient  # both directions non-refuted (legacy truthiness)
         assert not strict  # bounded directions do not count as exact
@@ -339,7 +380,7 @@ class TestUC2RPQBoundReporting:
 
     def test_finite_disjunct_bound_raised_to_exhaustion(self):
         triangle, union = paper_example_1()
-        result = uc2rpq_contained(triangle, union, max_total_length=1)
+        result = uc2rpq_contained(triangle, union, budget=Budget(max_total_length=1))
         # All atom languages in the pattern are finite: the run is
         # exhaustive and exact despite the tiny requested bound.
         assert result.verdict is Verdict.HOLDS
@@ -347,7 +388,9 @@ class TestUC2RPQBoundReporting:
 
     def test_truncation_by_expansion_cap_is_reported(self):
         triangle, union = paper_example_1()
-        result = uc2rpq_contained(union, union, max_total_length=2, max_expansions=1)
+        result = uc2rpq_contained(
+            union, union, budget=Budget(max_total_length=2, max_expansions=1)
+        )
         if result.verdict is Verdict.HOLDS_UP_TO_BOUND:
             assert result.details["truncated_by_budget"] is True
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.core.engine import check_containment
 from repro.core.shrink import shrink_counterexample
 from repro.core.witness import holds_on
@@ -39,7 +40,7 @@ class TestShrink:
             (triangle_plus(), triangle_query()),
         ]
         for q1, q2 in cases:
-            result = check_containment(q1, q2, max_expansions=60)
+            result = check_containment(q1, q2, budget=Budget(max_expansions=60))
             assert result.verdict is Verdict.REFUTED
             small = shrink_counterexample(q1, q2, result)
             assert separated(q1, q2, small)
@@ -48,7 +49,7 @@ class TestShrink:
     def test_local_minimality(self):
         """Removing any remaining edge destroys the separation."""
         q1, q2 = triangle_plus(), triangle_query()
-        result = check_containment(q1, q2, max_expansions=60)
+        result = check_containment(q1, q2, budget=Budget(max_expansions=60))
         small = shrink_counterexample(q1, q2, result)
         edges = list(small.database.edges())
         for edge in edges:
@@ -65,7 +66,7 @@ class TestShrink:
         from repro.cq.syntax import cq_from_strings
 
         two_hop = cq_from_strings("x,z", ["e(x,y)", "e(y,z)"])
-        result = check_containment(tc, two_hop, max_expansions=20)
+        result = check_containment(tc, two_hop, budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.REFUTED
         small = shrink_counterexample(tc, two_hop, result)
         # The minimal separator is the single edge (tc answers it, the

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.core.report import Verdict
 from repro.cq.syntax import UCQ, cq_from_strings
 from repro.datalog.containment import (
@@ -64,7 +65,7 @@ class TestDatalogInUCQ:
 
     def test_recursive_refutation_is_exact(self, tc):
         single = cq_from_strings("x,y", ["edge(x,y)"])
-        result = datalog_in_ucq(tc, UCQ((single,)), max_expansions=20)
+        result = datalog_in_ucq(tc, UCQ((single,)), budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.REFUTED
         # The smallest counterexample: a 2-chain.
         assert result.counterexample.database.num_facts == 2
@@ -72,7 +73,7 @@ class TestDatalogInUCQ:
     def test_recursive_positive_is_bounded(self, tc):
         everything = cq_from_strings("x,y", ["edge(x,u)", "edge(v,y)"])
         # tc(x,y) implies an edge leaves x and an edge enters y.
-        result = datalog_in_ucq(tc, UCQ((everything,)), max_expansions=20)
+        result = datalog_in_ucq(tc, UCQ((everything,)), budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.bound is not None
 
@@ -80,7 +81,7 @@ class TestDatalogInUCQ:
 class TestDatalogInDatalog:
     def test_left_and_right_linear_tc_agree(self, tc):
         right = transitive_closure_program("edge", "tc", left_linear=False)
-        assert datalog_equivalent_bounded(tc, right, max_expansions=25)
+        assert datalog_equivalent_bounded(tc, right, budget=Budget(max_expansions=25))
 
     def test_tc_contains_squared_tc(self, tc):
         """tc over edge ⊑ tc over (edge ∪ edge²) — and not conversely."""
@@ -93,8 +94,8 @@ class TestDatalogInDatalog:
             """,
             goal="tc2",
         )
-        assert datalog_in_datalog(tc, rich, max_expansions=25).holds
-        result = datalog_in_datalog(rich, tc, max_expansions=25)
+        assert datalog_in_datalog(tc, rich, budget=Budget(max_expansions=25)).holds
+        result = datalog_in_datalog(rich, tc, budget=Budget(max_expansions=25))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND  # actually equivalent
 
     def test_goal_arity_mismatch(self, tc):
@@ -110,7 +111,7 @@ class TestDatalogInDatalog:
 
     def test_refutation_counterexample_replays(self, tc):
         two_hop = parse_program("p(x, z) :- edge(x, y), edge(y, z).", goal="p")
-        result = datalog_in_datalog(tc, two_hop, max_expansions=10)
+        result = datalog_in_datalog(tc, two_hop, budget=Budget(max_expansions=10))
         assert result.verdict is Verdict.REFUTED
         instance = result.counterexample.database
         head = result.counterexample.output

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.datalog.evaluation import evaluate
 from repro.datalog.parser import parse_program
 from repro.datalog.syntax import reachability_program, transitive_closure_program
@@ -29,8 +30,8 @@ class TestVerdicts:
             """,
             goal="tcr",
         )
-        assert grq_contained(tc, rich, max_expansions=25).holds
-        result = grq_contained(rich, tc, max_expansions=25)
+        assert grq_contained(tc, rich, budget=Budget(max_expansions=25)).holds
+        result = grq_contained(rich, tc, budget=Budget(max_expansions=25))
         assert result.verdict is Verdict.REFUTED  # shortcut-edges escape tc
 
     def test_nonrecursive_left_exact(self, tc):
@@ -39,7 +40,7 @@ class TestVerdicts:
 
     def test_refutation_replays(self, tc):
         hop = parse_program("hop(x, z) :- edge(x, y), edge(y, z).", goal="hop")
-        result = grq_contained(tc, hop, max_expansions=20)
+        result = grq_contained(tc, hop, budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.REFUTED
         instance = result.counterexample.database
         head = result.counterexample.output
@@ -88,6 +89,6 @@ class TestArbitraryArityEDB:
             goal="anypair",
         )
         # tc(x,y) implies x is a first and y a second component somewhere.
-        result = grq_contained(left, right, max_expansions=20)
+        result = grq_contained(left, right, budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
-        assert not grq_contained(right, left, max_expansions=20).holds
+        assert not grq_contained(right, left, budget=Budget(max_expansions=20)).holds

@@ -9,6 +9,7 @@ single-step ``e`` relation, so cross-class verdicts are predictable.
 
 import pytest
 
+from repro.budget import Budget
 from repro.core.classify import QueryClass, classify
 from repro.core.engine import check_containment
 from repro.core.witness import verify_counterexample
@@ -59,7 +60,7 @@ class TestStepInClosure:
             left in ("CQ", "UCQ", "Datalog") or right == "GRQ"
         ):
             pytest.skip("no embedding for this direction")
-        result = check_containment(q1, q2, max_expansions=40)
+        result = check_containment(q1, q2, budget=Budget(max_expansions=40))
         assert result.verdict is not Verdict.REFUTED, (left, right, result)
 
 
@@ -72,7 +73,7 @@ class TestClosureNotInStep:
         if right == "2RPQ":
             pytest.skip("e e- e is not equivalent to a step")
         q1, q2 = CLOSURE[left], STEP[right]
-        result = check_containment(q1, q2, max_expansions=40)
+        result = check_containment(q1, q2, budget=Budget(max_expansions=40))
         assert result.verdict is Verdict.REFUTED, (left, right, result)
         assert verify_counterexample(q1, q2, result), (left, right)
 
@@ -84,7 +85,7 @@ class TestClosureEquivalences:
     @pytest.mark.parametrize("right", sorted(CLOSURE))
     def test_mutual_containment_not_refuted(self, left, right):
         result = check_containment(
-            CLOSURE[left], CLOSURE[right], max_expansions=40
+            CLOSURE[left], CLOSURE[right], budget=Budget(max_expansions=40)
         )
         assert result.verdict is not Verdict.REFUTED, (left, right, result)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.report import Verdict
 from repro.rpq.containment import (
     paper_divergence_example,
@@ -99,10 +100,13 @@ class TestTwoRPQContainment:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_tiny_max_configs_degrades_instead_of_raising(self, method):
-        """Regression: max_configs used to leak SearchBudgetExceeded out
+        """Regression: a tiny budget used to leak a kernel exception out
         of two_rpq_contained; it must report a bounded verdict."""
         result = two_rpq_contained(
-            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), method=method, max_configs=1
+            TwoRPQ.parse("p"),
+            TwoRPQ.parse("p p- p"),
+            method=method,
+            budget=Budget(max_configs=1, max_states=1),
         )
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND, method
         assert result.details["budget"]["exhausted"] in ("configs", "states")

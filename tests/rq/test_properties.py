@@ -12,6 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.datalog.evaluation import evaluate as datalog_evaluate
 from repro.graphdb.generators import random_graph
 from repro.grq.membership import is_grq
@@ -63,7 +64,7 @@ def test_containment_refutations_replay(seed):
     q2 = random_rq(rng, LABELS, 2)
     if q1.arity != q2.arity:
         return
-    result = rq_contained(q1, q2, max_applications=10, max_expansions=40)
+    result = rq_contained(q1, q2, budget=Budget(max_applications=10, max_expansions=40))
     if result.verdict is Verdict.REFUTED:
         db = result.counterexample.database
         head = result.counterexample.output
@@ -75,7 +76,7 @@ def test_containment_refutations_replay(seed):
 @given(st.integers(0, 10**9))
 def test_containment_reflexive_never_refuted(seed):
     term = term_from_seed(seed, depth=2)
-    result = rq_contained(term, term, max_applications=10, max_expansions=40)
+    result = rq_contained(term, term, budget=Budget(max_applications=10, max_expansions=40))
     assert result.verdict is not Verdict.REFUTED
 
 
