@@ -1,91 +1,43 @@
 """A8 — antichain containment kernel vs the plain subset-search baseline.
 
-The measurements behind DESIGN.md's "Antichain containment" section:
-
-1. **Blow-up family** ``(a|b)* a (a|b)^n`` vs the same expression with
-   an ``n+1`` suffix: the right-hand incremental determinization is the
-   classic ``2^n`` subset blow-up.  The subset kernel explores every
-   reachable ``(left state, right subset)`` configuration; the antichain
-   kernel discards any configuration simulation-subsumed by an explored
-   one, collapsing the frontier to ~O(n) kept configurations.  Verdicts
-   must agree and witnesses must have equal (shortest) length on both
-   arms — the ablation's hard gate.
-2. **E1 workload** (random regex pairs): the no-regression check on
-   instances without structural blow-up, where the simulation
-   preprocessing is pure overhead the antichain kernel must absorb.
-
-Query *compilation* is hoisted out of every timed region (both arms
-share the same prebuilt NFAs; the kernels accelerate the search, not
-parsing).  NFAs are raw Thompson constructions — ``reduce_nfa`` would
-pre-minimize the right side into a DFA and hide exactly the blow-up
-the antichain subsumption is built to avoid.
+Renders the ``antichain-ablation`` experiment of the ``repro.obs.perf``
+registry (full tier), which defines the workloads: the ``(a|b)* a
+(a|b)^n`` blow-up family, where the subset kernel's configurations grow
+~2^n and the antichain frontier ~n, and random pairs without blow-up,
+where the simulation preprocessing is pure overhead.  Both kernels must
+agree on verdicts and witness lengths; EXPERIMENTS.md A8 has the story.
 """
 
-import random
-import time
 
-from repro.automata.dfa import containment_counterexample
-from repro.automata.regex import parse_regex, random_regex
-from repro.cache import clear_caches
-
-ALPHABET = ("a", "b")
+def _best_ms(entry, name: str) -> float:
+    return entry["timings"][name]["best_ms"]
 
 
-def _blowup_pair(n: int):
-    suffix = " ".join(["(a|b)"] * n)
-    left = parse_regex(f"(a|b)* a {suffix}").to_nfa().trim().renumber()
-    right = parse_regex(f"(a|b)* a (a|b) {suffix}").to_nfa().trim().renumber()
-    return left, right
-
-
-def test_a8_blowup_family(benchmark, report, once_benchmark):
+def test_a8_blowup_family(benchmark, report, full_experiment):
     """Blow-up family: subset vs antichain kernel, verdicts cross-checked."""
-    sizes = (6, 8, 10, 12)
-    pairs = {n: _blowup_pair(n) for n in sizes}
-
-    def run():
-        rows = []
-        speedups = []
-        for n in sizes:
-            left, right = pairs[n]
-            timings: dict[str, float] = {}
-            outcomes: dict[str, object] = {}
-            stats: dict[str, dict] = {}
-            for kernel in ("subset", "antichain"):
-                best = None
-                for _ in range(3):
-                    clear_caches()
-                    kernel_stats: dict = {}
-                    start = time.perf_counter()
-                    outcomes[kernel] = containment_counterexample(
-                        left, right, ALPHABET,
-                        kernel=kernel, kernel_stats=kernel_stats,
-                    )
-                    elapsed = time.perf_counter() - start
-                    best = elapsed if best is None else min(best, elapsed)
-                timings[kernel] = best
-                stats[kernel] = kernel_stats
-            sub, anti = outcomes["subset"], outcomes["antichain"]
-            assert (sub is None) == (anti is None)  # identical verdicts
-            if sub is not None:
-                assert len(sub) == len(anti)  # both searches are shortest-word
-                assert left.accepts(anti) and not right.accepts(anti)
-            speedup = timings["subset"] / timings["antichain"]
-            speedups.append(speedup)
-            rows.append(
-                [
-                    n,
-                    stats["subset"]["configs"],
-                    stats["antichain"]["configs"],
-                    stats["antichain"]["subsumption_hits"],
-                    f"{timings['subset'] * 1000:.2f}",
-                    f"{timings['antichain'] * 1000:.2f}",
-                    f"{speedup:.1f}x",
-                ]
-            )
-        return rows, speedups
-
-    rows, speedups = once_benchmark(benchmark, run)
+    entry = full_experiment(benchmark, "antichain-ablation")
+    exact = entry["exact"]
+    frontier = exact["frontier"]
+    assert exact["disagreements"] == 0
+    assert exact["blowup_agreements"] == len(frontier)
+    largest = frontier[-1][0]
+    rows, speedups = [], []
+    for n, subset_configs, antichain_configs, _, hits in frontier:
+        label = "" if n == largest else f"-n{n}"
+        subset_ms = _best_ms(entry, f"blowup-subset{label}")
+        antichain_ms = _best_ms(entry, f"blowup-antichain{label}")
+        speedups.append(subset_ms / antichain_ms)
+        rows.append(
+            [
+                n,
+                subset_configs,
+                antichain_configs,
+                hits,
+                f"{subset_ms:.2f}",
+                f"{antichain_ms:.2f}",
+                f"{speedups[-1]:.1f}x",
+            ]
+        )
     report(
         "A8",
         "blow-up family (a|b)* a (a|b)^n: subset vs antichain kernel (best of 3)",
@@ -102,64 +54,29 @@ def test_a8_blowup_family(benchmark, report, once_benchmark):
         note="verdicts identical, witnesses equal-length and verified on both arms; "
         "configs grow ~2^n on the subset arm, ~n on the antichain arm",
     )
-    # The ISSUE's acceptance target: >= 2x on at least one blow-up point
-    # (in practice every point past n=6 clears it by a wide margin).
+    # Acceptance target: >= 2x on at least one blow-up point (in
+    # practice every point past n=6 clears it by a wide margin)...
     assert max(speedups) >= 2.0
-    assert speedups[-1] >= 2.0  # and specifically on the largest point
+    assert speedups[-1] >= 2.0  # ...and specifically on the largest point
 
 
-def test_a8_random_pairs_no_regression(benchmark, report, once_benchmark):
-    """E1-style random pairs: antichain must absorb its preprocessing."""
-    rng = random.Random(7)
-    suites = {
-        depth: [
-            (
-                random_regex(rng, ALPHABET, depth).to_nfa().trim().renumber(),
-                random_regex(rng, ALPHABET, depth).to_nfa().trim().renumber(),
-            )
-            for _ in range(20)
-        ]
-        for depth in (3, 4, 5)
-    }
-
-    def run():
-        rows = []
-        ratios = []
-        for depth, pairs in suites.items():
-            timings: dict[str, float] = {}
-            outcomes: dict[str, list] = {}
-            for kernel in ("subset", "antichain"):
-                best = None
-                for _ in range(3):
-                    clear_caches()
-                    start = time.perf_counter()
-                    outcomes[kernel] = [
-                        containment_counterexample(n1, n2, ALPHABET, kernel=kernel)
-                        for n1, n2 in pairs
-                    ]
-                    elapsed = time.perf_counter() - start
-                    best = elapsed if best is None else min(best, elapsed)
-                timings[kernel] = best
-            for (n1, n2), sub, anti in zip(
-                pairs, outcomes["subset"], outcomes["antichain"]
-            ):
-                assert (sub is None) == (anti is None)
-                if sub is not None:
-                    assert len(sub) == len(anti)
-                    assert n1.accepts(anti) and not n2.accepts(anti)
-            ratio = timings["antichain"] / timings["subset"]
-            ratios.append(ratio)
-            rows.append(
-                [
-                    depth,
-                    f"{timings['subset'] / len(pairs) * 1000:.3f}",
-                    f"{timings['antichain'] / len(pairs) * 1000:.3f}",
-                    f"{ratio:.2f}",
-                ]
-            )
-        return rows, ratios
-
-    rows, ratios = once_benchmark(benchmark, run)
+def test_a8_random_pairs_no_regression(benchmark, report, full_experiment):
+    """Random pairs: antichain must absorb its preprocessing."""
+    entry = full_experiment(benchmark, "antichain-ablation")
+    rows, ratios = [], []
+    for depth, pairs, agreements in entry["exact"]["random_sweep"]:
+        assert agreements == pairs
+        subset_ms = _best_ms(entry, f"random-d{depth}-subset")
+        antichain_ms = _best_ms(entry, f"random-d{depth}-antichain")
+        ratios.append(antichain_ms / subset_ms)
+        rows.append(
+            [
+                depth,
+                f"{subset_ms / pairs:.3f}",
+                f"{antichain_ms / pairs:.3f}",
+                f"{ratios[-1]:.2f}",
+            ]
+        )
     report(
         "A8",
         "random regex pairs: antichain overhead on non-blow-up instances "

@@ -1,185 +1,84 @@
 """A9 — compiled graph snapshots: set-at-a-time evaluation vs the
 pre-snapshot path.
 
-The measurements behind DESIGN.md's "Evaluation architecture" section:
-
-1. **Repeated-query workload**: the same 2RPQs evaluated again and again
-   over an unchanged database — the shape produced by dashboards, view
-   materialization (``rpq/views.py``), and the containment expansion
-   loop.  The snapshot arm compiles the graph once per revision and
-   serves repeats from the ``(query, fingerprint)`` evaluation cache;
-   the *pre-snapshot* arm clears the evaluation caches between calls,
-   reproducing the old cost structure (re-intern nodes, rebuild the
-   per-symbol adjacency, re-run the BFS per call).  The regex→NFA cache
-   stays warm on both arms: the comparison isolates the evaluation
-   engine, not regex compilation.
-2. **Multi-atom CRPQ membership workload**: ``satisfies_c2rpq`` is the
-   documented hot loop of expansion-based containment — many heads
-   probed against one small database.  With the per-snapshot
-   instantiate cache, atoms materialize once; the pre-snapshot arm
-   re-materializes every atom relation per membership test.
-
-Both workloads hard-assert answer agreement with the naive reference
-oracles (``tests/reference_oracles.py``: a ``(node, state)`` product BFS
-per source, brute-force variable assignment for the CRPQ) before
-reporting any timing, and both gate on the acceptance target: >= 5x on
-repeated-query and multi-atom workloads.
+Renders the ``evaluation-engine`` experiment of the ``repro.obs.perf``
+registry (full tier), which defines the repeated-query and multi-atom
+CRPQ membership workloads and their arms: the pre-snapshot arm clears
+the evaluation caches per call, the regex cache stays warm on both.
+Answers are hard-gated against the naive reference oracles
+(``tests/reference_oracles.py``) and both workloads must clear >= 5x;
+EXPERIMENTS.md A9 has the story.
 """
 
-import random
-import time
-
-from repro.automata.regex import random_regex
-from repro.cache import (
-    clear_caches,
-    eval_context_cache,
-    evaluation_cache,
-    instantiate_cache,
-)
+from repro.cache import clear_caches
 from repro.crpq.evaluation import satisfies_c2rpq
-from repro.crpq.syntax import C2RPQ
-from repro.graphdb.generators import random_graph
-from repro.rpq.rpq import TwoRPQ
+from repro.obs.perf import evaluation_workload
 
 import reference_oracles as reference
 
-ALPHABET = ("a", "b")
+
+def _speedup(entry, workload: str) -> tuple[float, float, float]:
+    presnapshot = entry["timings"][f"{workload}-sequential"]["best_ms"]
+    snapshot = entry["timings"][f"{workload}-snapshot"]["best_ms"]
+    return presnapshot, snapshot, presnapshot / snapshot
 
 
-def _clear_evaluation_caches() -> None:
-    """Forget only the evaluation-side artifacts (the pre-snapshot arm:
-    regex compilation stays cached, graph compilation does not)."""
-    eval_context_cache.clear()
-    evaluation_cache.clear()
-    instantiate_cache.clear()
-
-
-def _best_of(repeats: int, fn) -> float:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def test_a9_repeated_query_workload(benchmark, report, once_benchmark):
+def test_a9_repeated_query_workload(benchmark, report, full_experiment):
     """Repeated 2RPQ evaluation: snapshot cache vs per-call recompilation."""
-    rng = random.Random(41)
-    queries = [
-        TwoRPQ(random_regex(rng, ALPHABET, 3, allow_inverse=True))
-        for _ in range(10)
+    entry = full_experiment(benchmark, "evaluation-engine")
+    work = evaluation_workload("full")
+    clear_caches()
+    assert [query.evaluate(work.db) for query in work.queries] == [
+        reference.answers(query.regex.to_nfa(), work.db) for query in work.queries
     ]
-    db = random_graph(40, 160, ALPHABET, seed=43)
-    rounds = 10
-
-    def run():
-        # Warm the regex->NFA cache on both arms and hard-gate answer
-        # agreement against the naive reference BFS.
-        clear_caches()
-        snapshot_answers = [query.evaluate(db) for query in queries]
-        reference_answers = [
-            reference.answers(query.regex.to_nfa(), db) for query in queries
-        ]
-        assert snapshot_answers == reference_answers
-
-        def arm_snapshot() -> None:
-            _clear_evaluation_caches()
-            for _ in range(rounds):
-                for query in queries:
-                    query.evaluate(db)
-
-        def arm_presnapshot() -> None:
-            for _ in range(rounds):
-                for query in queries:
-                    _clear_evaluation_caches()
-                    query.evaluate(db)
-
-        snapshot_s = _best_of(3, arm_snapshot)
-        presnapshot_s = _best_of(3, arm_presnapshot)
-        speedup = presnapshot_s / snapshot_s
-        calls = rounds * len(queries)
-        rows = [
-            [
-                calls,
-                f"{presnapshot_s * 1000:.2f}",
-                f"{snapshot_s * 1000:.2f}",
-                f"{speedup:.1f}x",
-            ]
-        ]
-        return rows, speedup
-
-    rows, speedup = once_benchmark(benchmark, run)
+    assert entry["exact"]["disagreements"] == 0
+    presnapshot_ms, snapshot_ms, speedup = _speedup(entry, "repeated-query")
     report(
         "A9",
-        "repeated-query workload: 10 2RPQs x 10 rounds on a 40-node graph "
-        "(best of 3)",
+        f"repeated-query workload: {len(work.queries)} 2RPQs x {work.rounds} "
+        f"rounds on a {len(work.db.nodes_in_order())}-node graph (best of 3)",
         ["evaluate() calls", "pre-snapshot ms", "snapshot ms", "speedup"],
-        rows,
+        [
+            [
+                work.rounds * len(work.queries),
+                f"{presnapshot_ms:.2f}",
+                f"{snapshot_ms:.2f}",
+                f"{speedup:.1f}x",
+            ]
+        ],
         note="pre-snapshot arm clears evaluation caches per call (old cost "
         "structure); regex->NFA cache warm on both arms; answers hard-gated "
         "against the naive reference BFS",
     )
-    assert speedup >= 5.0  # ISSUE 7 acceptance target
+    assert speedup >= 5.0  # acceptance target
 
 
-def test_a9_multi_atom_crpq_workload(benchmark, report, once_benchmark):
+def test_a9_multi_atom_crpq_workload(benchmark, report, full_experiment):
     """CRPQ membership hot loop: per-snapshot instantiation vs per-test."""
-    # Four distinct regular atoms anchored on the head variables (plus
-    # one existential hop), so per-test cost is dominated by atom
-    # instantiation — the cost the snapshot cache amortizes — rather
-    # than by the conjunctive join.
-    query = C2RPQ.from_strings(
-        "x,y",
-        [
-            ("(a|b)* a (a|b)*", "x", "y"),
-            ("a (b a-)+", "x", "y"),
-            ("b- (a|b)+ a", "x", "z"),
-            ("(a b)+ b-", "z", "y"),
-        ],
-    )
-    db = random_graph(30, 100, ALPHABET, seed=47)
-    heads = [(x, y) for x in db.nodes_in_order()[:6] for y in db.nodes_in_order()[:6]]
-
-    def run():
-        clear_caches()
-        cached = [satisfies_c2rpq(query, db, head) for head in heads]
-        expected = reference.crpq_answers(query, db)
-        assert cached == [head in expected for head in heads]  # verdict gate
-
-        def arm_snapshot() -> None:
-            _clear_evaluation_caches()
-            for head in heads:
-                satisfies_c2rpq(query, db, head)
-
-        def arm_presnapshot() -> None:
-            for head in heads:
-                _clear_evaluation_caches()
-                satisfies_c2rpq(query, db, head)
-
-        snapshot_s = _best_of(3, arm_snapshot)
-        presnapshot_s = _best_of(3, arm_presnapshot)
-        speedup = presnapshot_s / snapshot_s
-        rows = [
-            [
-                len(heads),
-                f"{presnapshot_s * 1000:.2f}",
-                f"{snapshot_s * 1000:.2f}",
-                f"{speedup:.1f}x",
-            ]
-        ]
-        return rows, speedup
-
-    rows, speedup = once_benchmark(benchmark, run)
+    entry = full_experiment(benchmark, "evaluation-engine")
+    work = evaluation_workload("full")
+    clear_caches()
+    expected = reference.crpq_answers(work.crpq, work.crpq_db)
+    assert [
+        satisfies_c2rpq(work.crpq, work.crpq_db, head) for head in work.heads
+    ] == [head in expected for head in work.heads]
+    presnapshot_ms, snapshot_ms, speedup = _speedup(entry, "multi-atom-crpq")
     report(
         "A9",
-        "multi-atom CRPQ membership: 4 distinct regular atoms, "
-        "36 heads on a 30-node graph (best of 3)",
+        f"multi-atom CRPQ membership: {len(work.crpq.atoms)} distinct regular "
+        f"atoms, {len(work.heads)} heads on a "
+        f"{len(work.crpq_db.nodes_in_order())}-node graph (best of 3)",
         ["membership tests", "per-test instantiate ms", "per-snapshot ms", "speedup"],
-        rows,
+        [
+            [
+                len(work.heads),
+                f"{presnapshot_ms:.2f}",
+                f"{snapshot_ms:.2f}",
+                f"{speedup:.1f}x",
+            ]
+        ],
         note="satisfies_c2rpq is the hot loop of expansion-based containment; "
         "atoms materialize once per snapshot on the cached arm, once per "
         "membership test on the pre-snapshot arm",
     )
-    assert speedup >= 5.0  # ISSUE 7 acceptance target
+    assert speedup >= 5.0  # acceptance target

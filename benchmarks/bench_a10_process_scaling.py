@@ -1,186 +1,84 @@
-"""A10 — the process backend as a first-class execution substrate:
-cross-backend agreement, crash isolation, multi-core throughput.
+"""A10 — the process backend as a first-class execution substrate.
 
-The measurements behind DESIGN.md's "Execution substrate" bullet and
-EXPERIMENTS.md A10:
-
-1. **Cross-backend differential oracle**: the E1 pair family and the
-   serving smoke workload (``workloads/batch_smoke.ndjson``) replayed
-   at thread-1 / thread-4 / process-1 / process-4 must produce the
-   sequential loop's verdict list bit-for-bit.  Concurrency and the
-   pickle boundary may change wall-clock, never answers.  Hard-gated
-   on every machine before any timing is reported.
-2. **Crash isolation**: a worker killed mid-batch (a poison pill whose
-   unpickle is ``os._exit(1)``) must cost exactly its own item — an
-   ERROR carrying ``details["error"]`` — while every survivor keeps
-   its sequential verdict and the executor keeps accepting work on a
-   rebuilt pool.  Hard-gated on every machine.
-3. **Multi-core throughput**: complement-blowup pairs (a ``(a|b)^k``
-   window after the distinguishing letter forces ~2^k determinization
-   states) are CPU-bound enough to amortize pool startup; on >= 2
-   cores the process-4 arm must beat the sequential loop by the ISSUE
-   10 acceptance target (>= 1.5x).  On a single core the GIL is not
-   the bottleneck and a process pool is pure overhead, so the gate is
-   *skipped* — never faked — and the honest single-core figures live
-   in EXPERIMENTS.md.
+Renders the ``process-scaling`` experiment of the ``repro.obs.perf``
+registry (full tier), plus the thread arms of ``batch-scaling``:
+cross-backend verdict agreement on the E1 pairs and the serving smoke
+workload at thread/process x 1/4 workers, crash isolation of a poison
+pill, and the multi-core throughput gate (>= 1.5x on >= 2 cores; on one
+core a process pool is pure overhead, so that gate is skipped, never
+faked).  EXPERIMENTS.md A10 has the story.
 """
 
 import os
-import pathlib
-import random
-import time
 
 import pytest
 
-from repro.automata.regex import parse_regex, random_regex
-from repro.cache import clear_caches
-from repro.core.batch import (
-    ContainmentExecutor,
-    check_containment_many,
-    sequential_baseline,
+#: (arm, experiment holding its E1-family agreement and timing, workload)
+ARMS = (
+    ("thread-1", "batch-scaling", "batch-thread-1worker"),
+    ("thread-4", "batch-scaling", "batch-thread-4workers"),
+    ("process-1", "process-scaling", "batch-process-1worker"),
+    ("process-4", "process-scaling", "batch-process-4workers"),
 )
-from repro.obs.perf import _PoisonPill as PoisonPill
-from repro.rpq.rpq import RPQ
-from repro.serve.protocol import parse_workload
-
-ALPHABET = ("a", "b")
-
-WORKLOAD = pathlib.Path(__file__).parent / "workloads" / "batch_smoke.ndjson"
-
-#: Every (backend, workers) point of the differential oracle.
-ARMS = (("thread", 1), ("thread", 4), ("process", 1), ("process", 4))
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def _e1_pairs() -> list[tuple[RPQ, RPQ]]:
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
-    rng = random.Random(1)
-    pairs = [
-        (RPQ(parse_regex(x)), RPQ(parse_regex(y))) for x in atoms for y in atoms
-    ]
-    pairs += [
-        (RPQ(random_regex(rng, ALPHABET, 3)), RPQ(random_regex(rng, ALPHABET, 3)))
-        for _ in range(10)
-    ]
-    return pairs
-
-
-def test_a10_cross_backend_agreement(benchmark, report, once_benchmark):
+def test_a10_cross_backend_agreement(benchmark, report, full_experiment):
     """Thread and process pools answer exactly like the sequential loop."""
-    pairs = _e1_pairs()
-    parsed = parse_workload(WORKLOAD.read_text())
-    smoke_pairs = [(request.left, request.right) for request in parsed.requests]
-
-    def run():
-        expected = [r.verdict.value for r in sequential_baseline(pairs)]
-        smoke_expected = [
-            r.verdict.value for r in sequential_baseline(smoke_pairs)
-        ]
-        rows = []
-        for backend, workers in ARMS:
-            # Hard gate first: the verdict lists must match bit-for-bit
-            # before any timing is worth reporting.
-            clear_caches()
-            batch = check_containment_many(pairs, workers=workers, backend=backend)
-            verdicts = [item.result.verdict.value for item in batch.items]
-            assert verdicts == expected, f"{backend}-{workers} diverged on E1 pairs"
-
-            clear_caches()
-            smoke = check_containment_many(
-                smoke_pairs, workers=workers, backend=backend
-            )
-            smoke_verdicts = [item.result.verdict.value for item in smoke.items]
-            assert smoke_verdicts == smoke_expected, (
-                f"{backend}-{workers} diverged on {WORKLOAD.name}"
-            )
-
-            def arm() -> None:
-                clear_caches()
-                check_containment_many(pairs, workers=workers, backend=backend)
-
-            rows.append(
-                [
-                    f"{backend}-{workers}",
-                    len(pairs) + len(smoke_pairs),
-                    "yes",
-                    f"{_best_of(3, arm) * 1000:.2f}",
-                ]
-            )
-        return rows, None
-
-    rows, _ = once_benchmark(benchmark, run)
+    entries = dict(
+        zip(
+            ("batch-scaling", "process-scaling"),
+            full_experiment(benchmark, "batch-scaling", "process-scaling"),
+        )
+    )
+    workload = entries["process-scaling"]["exact"]["workload"]
+    rows = []
+    for arm, experiment_id, timing in ARMS:
+        exact = entries[experiment_id]["exact"]
+        assert exact["agreement"][arm], f"{arm} diverged on E1 pairs"
+        assert workload["agreement"][arm], f"{arm} diverged on {workload['file']}"
+        rows.append(
+            [
+                arm,
+                exact["pairs"] + workload["pairs"],
+                "yes",
+                f"{entries[experiment_id]['timings'][timing]['best_ms']:.2f}",
+            ]
+        )
     report(
         "A10",
         "cross-backend differential oracle: E1 pairs + batch_smoke.ndjson "
         "vs the sequential loop (best of 3, cold caches)",
         ["arm", "pairs checked", "verdicts match", "E1 best ms"],
         rows,
-        note="agreement is hard-asserted before timing on every machine; "
-        "single-core boxes legitimately show the process arms slower "
-        "(serialization overhead, no parallelism to buy it back)",
+        note="agreement is hard-asserted on every machine; single-core "
+        "boxes legitimately show the process arms slower (serialization "
+        "overhead, no parallelism to buy it back)",
     )
 
 
-def test_a10_crash_isolation(benchmark, report, once_benchmark):
+def test_a10_crash_isolation(benchmark, report, full_experiment):
     """A dying worker costs its own item, never the batch or the pool."""
-    pairs = _e1_pairs()[:4]
-
-    def run():
-        expected = [r.verdict.value for r in sequential_baseline(pairs)]
-        crash_pairs = list(pairs)
-        crash_pairs.insert(2, (PoisonPill(), PoisonPill()))
-        clear_caches()
-        items = check_containment_many(
-            crash_pairs, workers=2, backend="process"
-        ).items
-
-        poison = items[2].result
-        assert poison.verdict.value == "error"
-        assert "error" in poison.details, "ERROR item must carry details['error']"
-        survivors = [
-            item.result.verdict.value
-            for index, item in enumerate(items)
-            if index != 2
-        ]
-        assert survivors == expected, "a crash must not disturb other items"
-
-        # The executor survives the poison too: the rebuilt pool keeps
-        # accepting work in the same session.
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            executor.submit(PoisonPill(), PoisonPill()).result()
-            after = executor.submit(*pairs[0]).result()
-        assert after.result.verdict.value == expected[0]
-
-        rows = [
-            [
-                len(crash_pairs),
-                poison.verdict.value,
-                "yes",
-                "yes",
-            ]
-        ]
-        return rows, None
-
-    rows, _ = once_benchmark(benchmark, run)
+    crash = full_experiment(benchmark, "process-scaling")["exact"]["crash"]
     report(
         "A10",
-        "crash isolation: poison pill (unpickle = os._exit) mid-batch, "
+        "crash isolation: poison pill (unpickle = os._exit) mid-batch of 5, "
         "2 process workers",
-        ["items", "poison verdict", "survivors intact", "accepts after crash"],
-        rows,
+        ["poison is isolated ERROR", "survivors intact", "accepts after crash"],
+        [
+            [
+                "yes" if crash[key] else "no"
+                for key in (
+                    "poison_is_isolated_error",
+                    "survivors_match_sequential",
+                    "accepts_after_crash",
+                )
+            ]
+        ],
         note="the poison is retried once in quarantine on a rebuilt pool "
         "(so one crash never condemns an innocent in-flight item), then "
         "resolved as an isolated ERROR",
     )
+    assert all(crash.values())
 
 
 @pytest.mark.skipif(
@@ -188,58 +86,29 @@ def test_a10_crash_isolation(benchmark, report, once_benchmark):
     reason="process-pool speedup needs >= 2 cores; on one core the pool "
     "is pure overhead and the gate would measure the box, not the code",
 )
-def test_a10_multicore_speedup(benchmark, report, once_benchmark):
+def test_a10_multicore_speedup(benchmark, report, full_experiment):
     """Process-4 beats the sequential loop >= 1.5x on CPU-bound pairs."""
-    window = " ".join(["(a|b)"] * 8)
-    pairs = []
-    for index in range(12):
-        prefix = " ".join(
-            "a" if (index >> bit) & 1 else "b" for bit in range(4)
-        )
-        pairs.append(
-            (
-                RPQ(parse_regex(f"{prefix} (a|b)* b {window}")),
-                RPQ(parse_regex(f"{prefix} (a|b)* a {window}")),
-            )
-        )
-
-    def run():
-        expected = [r.verdict.value for r in sequential_baseline(pairs)]
-        clear_caches()
-        batch = check_containment_many(pairs, workers=4, backend="process")
-        verdicts = [item.result.verdict.value for item in batch.items]
-        assert verdicts == expected  # agreement gate, even here
-
-        def arm_sequential() -> None:
-            clear_caches()
-            sequential_baseline(pairs)
-
-        def arm_process_4() -> None:
-            clear_caches()
-            check_containment_many(pairs, workers=4, backend="process")
-
-        sequential_s = _best_of(3, arm_sequential)
-        process_s = _best_of(3, arm_process_4)
-        speedup = sequential_s / process_s
-        rows = [
-            [
-                len(pairs),
-                os.cpu_count(),
-                f"{sequential_s * 1000:.1f}",
-                f"{process_s * 1000:.1f}",
-                f"{speedup:.2f}x",
-            ]
-        ]
-        return rows, speedup
-
-    rows, speedup = once_benchmark(benchmark, run)
+    entry = full_experiment(benchmark, "process-scaling")
+    blowup = entry["exact"]["blowup"]
+    assert blowup["agreement"]["process-4"]  # agreement gate, even here
+    sequential_ms = entry["timings"]["blowup-sequential"]["best_ms"]
+    process_ms = entry["timings"]["blowup-process-4workers"]["best_ms"]
+    speedup = sequential_ms / process_ms
     report(
         "A10",
-        "multi-core throughput: 12 complement-blowup pairs, sequential vs "
-        "4 process workers (best of 3, cold caches)",
+        f"multi-core throughput: {blowup['pairs']} complement-blowup pairs, "
+        "sequential vs 4 process workers (best of 3, cold caches)",
         ["pairs", "cores", "sequential ms", "process-4 ms", "speedup"],
-        rows,
+        [
+            [
+                blowup["pairs"],
+                os.cpu_count(),
+                f"{sequential_ms:.1f}",
+                f"{process_ms:.1f}",
+                f"{speedup:.2f}x",
+            ]
+        ],
         note="pairs are (a|b)-window determinization blow-ups (~2^8 states "
         "each) so per-item compute dwarfs pickle + pool startup",
     )
-    assert speedup >= 1.5  # ISSUE 10 acceptance target
+    assert speedup >= 1.5  # acceptance target

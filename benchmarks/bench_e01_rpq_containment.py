@@ -1,92 +1,37 @@
 """E1 — Lemma 1: RPQ containment ⟺ language containment.
 
-Series reported:
+Renders the ``E1-oracle`` experiment of the ``repro.obs.perf`` registry
+(full tier), which defines the workload:
+
 - agreement of the Lemma 1 pipeline with a brute-force language oracle
   on exhaustive small and random larger regex pairs (must be 100%), and
 - runtime of the pipeline as regex depth grows (the PSPACE machinery's
   practical cost on benign instances).
 """
 
-import itertools
-import random
-import time
 
-from repro.automata.dfa import nfa_contains
-from repro.automata.regex import parse_regex, random_regex
-from repro.rpq.containment import rpq_contained
-from repro.rpq.rpq import RPQ
-
-ALPHABET = ("a", "b")
-
-ATOMS = ["a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?"]
-
-
-def _brute_force_contained(r1, r2, max_length=5) -> bool:
-    n1, n2 = r1.to_nfa(), r2.to_nfa()
-    for length in range(max_length + 1):
-        for word in itertools.product(ALPHABET, repeat=length):
-            if n1.accepts(word) and not n2.accepts(word):
-                return False
-    return True
-
-
-def test_e01_agreement_with_oracle(benchmark, report, once_benchmark):
-    pairs = [(parse_regex(x), parse_regex(y)) for x in ATOMS for y in ATOMS]
-    rng = random.Random(1)
-    pairs += [
-        (random_regex(rng, ALPHABET, 3), random_regex(rng, ALPHABET, 3))
-        for _ in range(40)
-    ]
-
-    def run():
-        agree = disagree = 0
-        positives = 0
-        for r1, r2 in pairs:
-            verdict = rpq_contained(RPQ(r1), RPQ(r2)).holds
-            oracle = _brute_force_contained(r1, r2)
-            # The oracle is sound for "not contained" only up to length 5;
-            # the pipeline is exact, so only verdict=True/oracle=True and
-            # verdict=False/oracle<=False are consistent.
-            if verdict and not oracle:
-                disagree += 1
-            else:
-                agree += 1
-            positives += verdict
-        return agree, disagree, positives
-
-    agree, disagree, positives = once_benchmark(benchmark, run)
+def test_e01_agreement_with_oracle(benchmark, report, full_experiment):
+    exact = full_experiment(benchmark, "E1-oracle")["exact"]
     report(
         "E1",
         "Lemma 1 pipeline vs brute-force oracle",
         ["pairs", "consistent", "inconsistent", "containments found"],
-        [[len(pairs), agree, disagree, positives]],
+        [[exact["pairs"], exact["consistent"], exact["inconsistent"],
+          exact["containments"]]],
         note="inconsistent must be 0 (Lemma 1 exactness)",
     )
-    assert disagree == 0
+    assert exact["inconsistent"] == 0
 
 
-def test_e01_scaling_with_depth(benchmark, report, once_benchmark):
-    rng = random.Random(7)
-
-    def sweep():
-        rows = []
-        for depth in (2, 3, 4, 5, 6):
-            sample = [
-                (random_regex(rng, ALPHABET, depth), random_regex(rng, ALPHABET, depth))
-                for _ in range(20)
-            ]
-            start = time.perf_counter()
-            holds = sum(
-                rpq_contained(RPQ(r1), RPQ(r2)).holds for r1, r2 in sample
-            )
-            elapsed = (time.perf_counter() - start) / len(sample)
-            rows.append([depth, f"{elapsed * 1000:.2f}", f"{holds}/{len(sample)}"])
-        return rows
-
-    rows = once_benchmark(benchmark, sweep)
+def test_e01_scaling_with_depth(benchmark, report, full_experiment):
+    entry = full_experiment(benchmark, "E1-oracle")
+    rows = []
+    for depth, pairs, holds in entry["exact"]["depth_sweep"]:
+        best_ms = entry["timings"][f"rpq-containment-depth{depth}"]["best_ms"]
+        rows.append([depth, f"{best_ms / pairs:.2f}", f"{holds}/{pairs}"])
     report(
         "E1",
-        "containment cost vs regex depth",
+        "containment cost vs regex depth (best of 3)",
         ["regex depth", "ms/check", "holds"],
         rows,
         note="worst case is PSPACE; random instances stay in the milliseconds",

@@ -1,53 +1,24 @@
 """E3 — Lemma 3: the fold 2NFA is small.
 
-Series: NFA states n x alphabet size |Sigma| -> states of the fold 2NFA,
-against the paper's bound n(|Sigma±|+1).  The end-marker construction
-achieves exactly 2n, independent of the alphabet — strictly inside the
-bound for every alphabet.
+Renders the ``E3-fold-size`` experiment of the ``repro.obs.perf``
+registry (full tier): NFA states n x alphabet size |Sigma| -> states of
+the fold 2NFA, against the paper's bound n(|Sigma±|+1).  The end-marker
+construction achieves exactly 2n, independent of the alphabet —
+strictly inside the bound for every alphabet.
 """
 
-import random
 
-from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import reduce_nfa
-from repro.automata.fold import fold_two_nfa, lemma3_state_bound
-from repro.automata.regex import random_regex
-
-
-def test_e03_fold_state_counts(benchmark, report, once_benchmark):
-    rng = random.Random(5)
-
-    def run():
-        rows = []
-        for sigma_size in (1, 2, 3):
-            alphabet = tuple("abc"[:sigma_size])
-            sigma_pm = Alphabet(alphabet).two_way
-            for depth in (2, 3, 4, 5):
-                nfa = reduce_nfa(
-                    random_regex(rng, alphabet, depth, allow_inverse=True).to_nfa()
-                )
-                if nfa.num_states == 0:
-                    continue
-                folded = fold_two_nfa(nfa, sigma_pm)
-                bound = lemma3_state_bound(nfa, sigma_pm)
-                rows.append(
-                    [
-                        sigma_size,
-                        nfa.num_states,
-                        folded.num_states,
-                        bound,
-                        "OK" if folded.num_states <= bound else "VIOLATION",
-                    ]
-                )
-        return rows
-
-    rows = once_benchmark(benchmark, run)
+def test_e03_fold_state_counts(benchmark, report, full_experiment):
+    exact = full_experiment(benchmark, "E3-fold-size")["exact"]
     report(
         "E3",
         "fold-2NFA size vs Lemma 3 bound n(|Sigma±|+1)",
         ["|Sigma|", "NFA states n", "fold 2NFA states", "paper bound", "within"],
-        rows,
+        [
+            [sigma, n, folded, bound, "OK" if folded <= bound else "VIOLATION"]
+            for sigma, n, folded, bound in exact["series"]
+        ],
         note="marker-based construction gives exactly 2n",
     )
-    assert all(row[4] == "OK" for row in rows)
-    assert all(row[2] == 2 * row[1] for row in rows)
+    assert all(folded <= bound for _, _, folded, bound in exact["series"])
+    assert all(folded == 2 * n for _, n, folded, _ in exact["series"])

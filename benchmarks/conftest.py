@@ -1,7 +1,10 @@
 """Shared infrastructure for the experiment benchmarks (E1-E12).
 
 Each experiment prints the rows/series DESIGN.md's experiment index
-names.  Every ``report(...)`` call emits twice from the one row source:
+names.  Benches backed by a ``repro.obs.perf`` registry experiment take
+its workload, seeds, arms and hard checks from there
+(``full_experiment``) and only render and gate the returned entry.
+Every ``report(...)`` call emits twice from the one row source:
 
 - ``benchmarks/results/<experiment>.txt`` — the human table quoted in
   EXPERIMENTS.md (also echoed in the end-of-run summary), and
@@ -45,6 +48,10 @@ def _format_table(
 
 _SESSION_TABLES: list[str] = []
 
+#: Experiments that have reported this session; the first report of an
+#: experiment truncates its result files, later ones append.
+_REPORTED: set[str] = set()
+
 
 @pytest.fixture(scope="session")
 def report():
@@ -65,13 +72,13 @@ def report():
         if note:
             text += f"   note: {note}\n"
         _SESSION_TABLES.append(text)
+        fresh = experiment not in _REPORTED
+        _REPORTED.add(experiment)
         out = RESULTS_DIR / f"{experiment.lower()}.txt"
-        with out.open("a") as handle:
+        with out.open("w" if fresh else "a") as handle:
             handle.write(text)
         json_out = RESULTS_DIR / f"{experiment.lower()}.json"
-        tables = (
-            json.loads(json_out.read_text()) if json_out.exists() else []
-        )
+        tables = [] if fresh else json.loads(json_out.read_text())
         tables.append(
             {
                 "experiment": experiment,
@@ -85,11 +92,6 @@ def report():
             json.dumps(tables, indent=2, default=str) + "\n"
         )
 
-    # Fresh results per session.
-    for stale in RESULTS_DIR.glob("*.txt"):
-        stale.unlink()
-    for stale in RESULTS_DIR.glob("*.json"):
-        stale.unlink()
     return emit
 
 
@@ -113,5 +115,30 @@ def once_benchmark():
 
     def run(benchmark, fn, *args, **kwargs):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def full_experiment(once_benchmark):
+    """``run_experiment(id, "full", 3)`` under the benchmark fixture,
+    once per experiment per session: every test of a bench renders and
+    gates the same entry (best-of-3 = ``timings[name]["best_ms"]``).
+    Several ids give a tuple of entries."""
+    from repro.obs.perf import run_experiment
+
+    entries: dict[str, dict] = {}
+
+    def run(benchmark, *experiment_ids: str):
+        def fetch():
+            for experiment_id in experiment_ids:
+                if experiment_id not in entries:
+                    entries[experiment_id] = run_experiment(
+                        experiment_id, "full", 3
+                    )
+            found = tuple(entries[experiment_id] for experiment_id in experiment_ids)
+            return found if len(found) > 1 else found[0]
+
+        return once_benchmark(benchmark, fetch)
 
     return run

@@ -13,6 +13,8 @@ run a machine-checkable document:
   (best-of-k workloads summarized as median/MAD), plus an environment
   fingerprint, a metrics/cache snapshot, and an aggregated hotspot
   profile (:mod:`repro.obs.profile`) saying where the time went.
+  :func:`run_experiment` produces one experiment's entry on its own;
+  the pytest benchmarks render their tables from it.
 - :func:`write_run` persists the document as ``BENCH_<runid>.json``
   (the bench trajectory's native format).
 - :func:`compare_runs` is the regression detector: against a committed
@@ -44,9 +46,6 @@ import sys
 import time
 from typing import Any, Callable
 
-# Re-exported here for backwards compatibility: the fingerprint now
-# lives in repro.obs.env so the serving layer's health verb and the
-# bench harness report the identical shape.
 from .env import environment_fingerprint
 from .metrics import metrics_snapshot, reset_metrics
 from .profile import SpanProfile
@@ -56,9 +55,11 @@ __all__ = [
     "SUITES",
     "Experiment",
     "RunComparison",
+    "EvaluationWorkload",
     "experiments_for",
+    "evaluation_workload",
     "time_workload",
-    "environment_fingerprint",
+    "run_experiment",
     "run_suite",
     "write_run",
     "validate_run",
@@ -138,41 +139,100 @@ def time_workload(fn: Callable[[], Any], repeats: int = 5) -> dict[str, Any]:
 
 
 # --- experiments ----------------------------------------------------------------
-# Each build() reuses the same library calls the pytest benchmarks make
-# (benchmarks/bench_e*.py), trimmed to suite-sized workloads.  Imports
-# are local so `import repro.obs` stays light.
+# The registry is the one definition of every experiment's workload,
+# seeds, arms and hard checks.  `repro bench` records the entries; the
+# pytest benchmarks (benchmarks/bench_*.py) render run_experiment(id,
+# "full") entries into the EXPERIMENTS.md tables and assert their gates
+# on the returned numbers.  ``full`` extends ``smoke`` with the larger
+# sweeps; keys that only ``full`` records are added at the end of each
+# build.  Imports are local so `import repro.obs` stays light.
+
+_AB = ("a", "b")
+
+_E1_ATOMS = ("a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?")
+
+
+def _e1_pairs(suite: str) -> list[tuple[Any, Any]]:
+    """The E1 regex-pair family: every ordered pair of atoms plus seeded
+    random depth-3 pairs (smoke 6² + 10 = 46 pairs, full 9² + 40 = 121)."""
+    import random
+
+    from ..automata.regex import parse_regex, random_regex
+
+    atoms = _E1_ATOMS[:6] if suite == "smoke" else _E1_ATOMS
+    rng = random.Random(1)
+    pairs = [(parse_regex(x), parse_regex(y)) for x in atoms for y in atoms]
+    pairs += [
+        (random_regex(rng, _AB, 3), random_regex(rng, _AB, 3))
+        for _ in range(10 if suite == "smoke" else 40)
+    ]
+    return pairs
+
+
+def _depth_sweep(depths: tuple[int, ...]) -> dict[int, list[tuple[Any, Any]]]:
+    """20 seeded random regex pairs per depth (the E1 and A8 sweeps)."""
+    import random
+
+    from ..automata.regex import random_regex
+
+    rng = random.Random(7)
+    return {
+        depth: [
+            (random_regex(rng, _AB, depth), random_regex(rng, _AB, depth))
+            for _ in range(20)
+        ]
+        for depth in depths
+    }
+
+
+def _backend_agreement(
+    pairs: list[tuple[Any, Any]], arms: tuple[tuple[str, int], ...]
+) -> dict[str, bool]:
+    """Per arm: do the batch verdicts equal the sequential loop's,
+    bit-for-bit?  Concurrency may change wall-clock, never answers."""
+    from ..cache import clear_caches
+    from ..core.batch import check_containment_many, sequential_baseline
+
+    expected = [result.verdict.value for result in sequential_baseline(pairs)]
+    agreement: dict[str, bool] = {}
+    for backend, workers in arms:
+        clear_caches()
+        batch = check_containment_many(pairs, workers=workers, backend=backend)
+        verdicts = [item.result.verdict.value for item in batch.items]
+        agreement[f"{backend}-{workers}"] = verdicts == expected
+    return agreement
+
+
+def _cold(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Callable[[], None]:
+    """A timed arm: ``fn(*args, **kwargs)`` with every cache cleared first."""
+    from ..cache import clear_caches
+
+    def thunk() -> None:
+        clear_caches()
+        fn(*args, **kwargs)
+
+    return thunk
 
 
 @_experiment("E1-oracle", "Lemma 1 pipeline vs brute-force word oracle")
 def _exp_e01(suite: str) -> dict[str, Any]:
     import itertools
-    import random
 
-    from ..automata.regex import parse_regex, random_regex
     from ..rpq.containment import rpq_contained
     from ..rpq.rpq import RPQ
 
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?"]
-    if suite == "smoke":
-        atoms, n_random = atoms[:6], 10
-    else:
-        n_random = 40
-    rng = random.Random(1)
-    pairs = [(parse_regex(x), parse_regex(y)) for x in atoms for y in atoms]
-    pairs += [
-        (random_regex(rng, alphabet, 3), random_regex(rng, alphabet, 3))
-        for _ in range(n_random)
-    ]
+    pairs = _e1_pairs(suite)
 
     def brute_force_contained(r1, r2, max_length=5) -> bool:
         n1, n2 = r1.to_nfa(), r2.to_nfa()
         for length in range(max_length + 1):
-            for word in itertools.product(alphabet, repeat=length):
+            for word in itertools.product(_AB, repeat=length):
                 if n1.accepts(word) and not n2.accepts(word):
                     return False
         return True
 
+    # The oracle is sound for "not contained" only up to length 5 and
+    # the pipeline is exact, so only verdict=True/oracle=False conflicts.
     consistent = inconsistent = positives = 0
     for r1, r2 in pairs:
         verdict = rpq_contained(RPQ(r1), RPQ(r2)).holds
@@ -181,21 +241,29 @@ def _exp_e01(suite: str) -> dict[str, Any]:
         else:
             consistent += 1
         positives += verdict
-    timed_pairs = pairs[:20]
 
-    def check_pairs() -> None:
-        for r1, r2 in timed_pairs:
-            rpq_contained(RPQ(r1), RPQ(r2))
+    def checker(sample) -> Callable[[], None]:
+        def thunk() -> None:
+            for r1, r2 in sample:
+                rpq_contained(RPQ(r1), RPQ(r2))
 
-    return {
-        "exact": {
-            "pairs": len(pairs),
-            "consistent": consistent,
-            "inconsistent": inconsistent,
-            "containments": positives,
-        },
-        "timed": {"rpq-containment-20pairs": check_pairs},
+        return thunk
+
+    exact: dict[str, Any] = {
+        "pairs": len(pairs),
+        "consistent": consistent,
+        "inconsistent": inconsistent,
+        "containments": positives,
     }
+    timed = {"rpq-containment-20pairs": checker(pairs[:20])}
+    if suite == "full":
+        # Cost vs regex depth: 20 random pairs per depth, one series each.
+        exact["depth_sweep"] = []
+        for depth, sample in _depth_sweep((2, 3, 4, 5, 6)).items():
+            holds = sum(rpq_contained(RPQ(r1), RPQ(r2)).holds for r1, r2 in sample)
+            exact["depth_sweep"].append([depth, len(sample), holds])
+            timed[f"rpq-containment-depth{depth}"] = checker(sample)
+    return {"exact": exact, "timed": timed}
 
 
 @_experiment("E3-fold-size", "Lemma 3 fold-2NFA state counts vs bound")
@@ -246,6 +314,15 @@ def _exp_e03(suite: str) -> dict[str, Any]:
     return {"exact": exact, "timed": timed}
 
 
+#: Folds of word queries: a graded family of well-behaved 2NFAs (smoke
+#: runs the first three).  One more letter roughly squares the
+#: reachable complement, so the family stops at fold(p p- p) — n = 8,
+#: ~14 s per complement on a 2-core box — which only ``full`` computes,
+#: once, for its row; the timed workload never repeats it.
+_E4_FAMILY = ("p", "p p", "p p-", "p? p")
+_E4_ONE_SHOT = "p p- p"
+
+
 @_experiment("E4-complement", "Lemma 4 complement blow-up vs Shepherdson")
 def _exp_e04(suite: str) -> dict[str, Any]:
     from ..automata.alphabet import Alphabet
@@ -257,9 +334,7 @@ def _exp_e04(suite: str) -> dict[str, Any]:
     from ..budget import Budget
 
     cap = Budget(max_states=200_000)
-    family = ["p", "p p", "p p-"]
-    if suite == "full":
-        family.append("p? p")
+    family = _E4_FAMILY[:3] if suite == "smoke" else _E4_FAMILY + (_E4_ONE_SHOT,)
     sigma_pm = Alphabet(("p",)).two_way
     series: list[list[Any]] = []
     timed_two = None
@@ -276,7 +351,8 @@ def _exp_e04(suite: str) -> dict[str, Any]:
                 shepherdson.num_states,
             ]
         )
-        timed_two = two
+        if text != _E4_ONE_SHOT:
+            timed_two = two
 
     def complement_largest() -> None:
         complement_two_nfa(timed_two, meter=cap.start())
@@ -292,18 +368,26 @@ def _exp_e04(suite: str) -> dict[str, Any]:
 
 @_experiment("engine-cache", "containment cache outcomes and hit accounting")
 def _exp_cache(suite: str) -> dict[str, Any]:
-    from ..automata.regex import parse_regex
     from ..cache import cache_stats, clear_caches
     from ..core.engine import check_containment
-    from ..rpq.rpq import RPQ
+    from ..rpq.rpq import RPQ, TwoRPQ
 
-    clear_caches()
-    pairs = [("a a", "a+"), ("a+", "a a"), ("(a b)+", "(a b)*")]
     queries = [
-        (RPQ(parse_regex(left)), RPQ(parse_regex(right))) for left, right in pairs
+        (RPQ.parse("a a"), RPQ.parse("a+")),
+        (RPQ.parse("a+"), RPQ.parse("a a")),
+        (RPQ.parse("(a b)+"), RPQ.parse("(a b)*")),
     ]
+    warm_passes = 1
+    if suite == "full":
+        queries += [
+            (RPQ.parse("(a|b)* a"), RPQ.parse("(a|b)*")),
+            (TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")),
+            (TwoRPQ.parse("a a"), TwoRPQ.parse("a a-")),
+        ]
+        warm_passes = 9
+    clear_caches()
     outcomes: list[list[str]] = []
-    for _ in range(2):  # cold pass then warm pass
+    for _ in range(1 + warm_passes):  # one cold pass, then warm passes
         for q1, q2 in queries:
             result = check_containment(q1, q2)
             outcomes.append([result.verdict.value, result.details["cache"]])
@@ -313,66 +397,47 @@ def _exp_cache(suite: str) -> dict[str, Any]:
     def warm_hit() -> None:
         check_containment(warm_q1, warm_q2)
 
+    def cold_pass() -> None:
+        clear_caches()
+        for q1, q2 in queries:
+            check_containment(q1, q2)
+
+    def warm_pass() -> None:
+        for q1, q2 in queries:
+            check_containment(q1, q2)
+
     return {
         "exact": {
             "outcomes": outcomes,
             "containment_hits": stats["hits"],
             "containment_misses": stats["misses"],
         },
-        "timed": {"engine-warm-hit": warm_hit},
+        # Sorted order runs the cold pass first, which leaves the warm
+        # passes a filled cache.
+        "timed": {
+            "engine-cold-pass": cold_pass,
+            "engine-warm-hit": warm_hit,
+            "engine-warm-pass": warm_pass,
+        },
     }
 
 
 @_experiment("batch-scaling", "batch front door: worker-count scaling on E1 pairs")
 def _exp_batch(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.regex import parse_regex, random_regex
-    from ..cache import clear_caches
     from ..core.batch import check_containment_many, sequential_baseline
     from ..rpq.rpq import RPQ
 
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
-    n_random = 10 if suite == "smoke" else 40
-    rng = random.Random(1)
-    pairs = [
-        (RPQ(parse_regex(x)), RPQ(parse_regex(y))) for x in atoms for y in atoms
-    ]
-    pairs += [
-        (RPQ(random_regex(rng, alphabet, 3)), RPQ(random_regex(rng, alphabet, 3)))
-        for _ in range(n_random)
-    ]
-
-    # Exact series: the differential oracle.  Concurrency may change
-    # wall-clock, never answers — batch verdicts at workers ∈ {1, 4} on
-    # both backends must equal the sequential loop's, bit-for-bit.
-    expected = [result.verdict.value for result in sequential_baseline(pairs)]
-    agreement: dict[str, bool] = {}
-    for backend, workers in (("thread", 1), ("thread", 4), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(pairs, workers=workers, backend=backend)
-        verdicts = [item.result.verdict.value for item in batch.items]
-        agreement[f"{backend}-{workers}"] = verdicts == expected
+    pairs = [(RPQ(r1), RPQ(r2)) for r1, r2 in _e1_pairs(suite)]
     counts: dict[str, int] = {}
-    for verdict in expected:
-        counts[verdict] = counts.get(verdict, 0) + 1
+    for result in sequential_baseline(pairs):
+        counts[result.verdict.value] = counts.get(result.verdict.value, 0) + 1
+    agreement = _backend_agreement(
+        pairs, (("thread", 1), ("thread", 4), ("process", 4))
+    )
 
     # Timed series: cold-cache wall-clock of the sequential loop vs the
     # thread pool, so the medians expose real scaling (or, on a single
     # core under the GIL, the honest absence of it — see EXPERIMENTS.md).
-    def run_sequential() -> None:
-        clear_caches()
-        sequential_baseline(pairs)
-
-    def run_thread_1() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=1, backend="thread")
-
-    def run_thread_4() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=4, backend="thread")
-
     return {
         "exact": {
             "pairs": len(pairs),
@@ -380,9 +445,13 @@ def _exp_batch(suite: str) -> dict[str, Any]:
             "verdict_counts": counts,
         },
         "timed": {
-            "batch-sequential": run_sequential,
-            "batch-thread-1worker": run_thread_1,
-            "batch-thread-4workers": run_thread_4,
+            "batch-sequential": _cold(sequential_baseline, pairs),
+            "batch-thread-1worker": _cold(
+                check_containment_many, pairs, workers=1, backend="thread"
+            ),
+            "batch-thread-4workers": _cold(
+                check_containment_many, pairs, workers=4, backend="thread"
+            ),
         },
     }
 
@@ -403,9 +472,8 @@ class _PoisonPill:
 @_experiment("process-scaling", "process backend: agreement, crash isolation, scaling")
 def _exp_process(suite: str) -> dict[str, Any]:
     import pathlib
-    import random
 
-    from ..automata.regex import parse_regex, random_regex
+    from ..automata.regex import parse_regex
     from ..cache import clear_caches
     from ..core.batch import (
         ContainmentExecutor,
@@ -415,33 +483,20 @@ def _exp_process(suite: str) -> dict[str, Any]:
     from ..rpq.rpq import RPQ
     from ..serve.protocol import parse_workload
 
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
-    n_random = 10 if suite == "smoke" else 40
-    rng = random.Random(1)
-    pairs = [
-        (RPQ(parse_regex(x)), RPQ(parse_regex(y))) for x in atoms for y in atoms
-    ]
-    pairs += [
-        (RPQ(random_regex(rng, alphabet, 3)), RPQ(random_regex(rng, alphabet, 3)))
-        for _ in range(n_random)
-    ]
+    full = suite == "full"
+    pairs = [(RPQ(r1), RPQ(r2)) for r1, r2 in _e1_pairs(suite)]
 
     # Exact series 1: the cross-backend differential oracle on the E1
     # pair family.  Process workers recompute behind a pickle boundary
     # with their own caches; the verdict list must still equal the
     # sequential loop's, bit-for-bit, at every worker count.
-    expected = [result.verdict.value for result in sequential_baseline(pairs)]
-    agreement: dict[str, bool] = {}
-    for backend, workers in (("process", 1), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(pairs, workers=workers, backend=backend)
-        verdicts = [item.result.verdict.value for item in batch.items]
-        agreement[f"{backend}-{workers}"] = verdicts == expected
+    agreement = _backend_agreement(pairs, (("process", 1), ("process", 4)))
 
     # Exact series 2: the serving smoke workload replayed through both
-    # pool substrates — thread-4 and process-4 must answer
-    # benchmarks/workloads/batch_smoke.ndjson exactly alike.
+    # pool substrates — every arm must answer
+    # benchmarks/workloads/batch_smoke.ndjson exactly alike (``full``
+    # runs all four arms; ``batch-scaling`` covers the thread arms of
+    # the E1 family).
     workload_path = (
         pathlib.Path(__file__).resolve().parents[3]
         / "benchmarks"
@@ -450,17 +505,12 @@ def _exp_process(suite: str) -> dict[str, Any]:
     )
     parsed = parse_workload(workload_path.read_text())
     smoke_pairs = [(request.left, request.right) for request in parsed.requests]
-    smoke_expected = [
-        result.verdict.value for result in sequential_baseline(smoke_pairs)
-    ]
-    workload_agreement: dict[str, bool] = {}
-    for backend, workers in (("thread", 1), ("thread", 4), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(
-            smoke_pairs, workers=workers, backend=backend
-        )
-        verdicts = [item.result.verdict.value for item in batch.items]
-        workload_agreement[f"{backend}-{workers}"] = verdicts == smoke_expected
+    workload_agreement = _backend_agreement(
+        smoke_pairs,
+        (("thread", 1), ("thread", 4))
+        + ((("process", 1),) if full else ())
+        + (("process", 4),),
+    )
 
     # Exact series 3: crash isolation.  A worker killed mid-batch (the
     # poison pill unpickles into ``os._exit(1)``) must cost exactly its
@@ -499,30 +549,48 @@ def _exp_process(suite: str) -> dict[str, Any]:
     # workers.  On a single core the 4-worker figure honestly shows
     # serialization overhead, not speedup — EXPERIMENTS.md A10 gates
     # the >=1.5x claim on the core count for exactly that reason.
-    def run_process_1() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=1, backend="process")
-
-    def run_process_4() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=4, backend="process")
-
-    return {
-        "exact": {
-            "pairs": len(pairs),
-            "agreement": agreement,
-            "workload": {
-                "file": workload_path.name,
-                "pairs": len(smoke_pairs),
-                "agreement": workload_agreement,
-            },
-            "crash": crash,
+    exact: dict[str, Any] = {
+        "pairs": len(pairs),
+        "agreement": agreement,
+        "workload": {
+            "file": workload_path.name,
+            "pairs": len(smoke_pairs),
+            "agreement": workload_agreement,
         },
-        "timed": {
-            "batch-process-1worker": run_process_1,
-            "batch-process-4workers": run_process_4,
-        },
+        "crash": crash,
     }
+    timed = {
+        "batch-process-1worker": _cold(
+            check_containment_many, pairs, workers=1, backend="process"
+        ),
+        "batch-process-4workers": _cold(
+            check_containment_many, pairs, workers=4, backend="process"
+        ),
+    }
+    if full:
+        # Multi-core throughput: complement-blowup pairs (an (a|b)^8
+        # window after the distinguishing letter forces ~2^8
+        # determinization states per check) are CPU-bound enough to
+        # amortize pool startup.
+        window = " ".join(["(a|b)"] * 8)
+        blowup = []
+        for index in range(12):
+            prefix = " ".join("a" if (index >> bit) & 1 else "b" for bit in range(4))
+            blowup.append(
+                (
+                    RPQ(parse_regex(f"{prefix} (a|b)* b {window}")),
+                    RPQ(parse_regex(f"{prefix} (a|b)* a {window}")),
+                )
+            )
+        exact["blowup"] = {
+            "pairs": len(blowup),
+            "agreement": _backend_agreement(blowup, (("process", 4),)),
+        }
+        timed["blowup-sequential"] = _cold(sequential_baseline, blowup)
+        timed["blowup-process-4workers"] = _cold(
+            check_containment_many, blowup, workers=4, backend="process"
+        )
+    return {"exact": exact, "timed": timed}
 
 
 @_experiment("budget-degradation", "bounded verdict + spend accounting")
@@ -553,63 +621,66 @@ def _exp_budget(suite: str) -> dict[str, Any]:
 
 @_experiment("antichain-ablation", "antichain vs subset containment kernel")
 def _exp_antichain(suite: str) -> dict[str, Any]:
-    import random
-
     from ..automata.dfa import containment_counterexample
-    from ..automata.regex import parse_regex, random_regex
+    from ..automata.regex import parse_regex
     from ..cache import clear_caches
     from ..rpq.containment import two_rpq_contained
     from ..rpq.rpq import TwoRPQ
 
-    alphabet = ("a", "b")
+    full = suite == "full"
 
-    # E1-style family: seeded random regex pairs, checked with both
-    # kernels through the same public entry point.  Hard gate: verdicts
-    # agree, witnesses have equal (shortest) length, and every witness
-    # actually separates the languages.
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?"]
-    if suite == "smoke":
-        atoms, n_random = atoms[:6], 10
-    else:
-        n_random = 30
-    rng = random.Random(11)
-    nfa_pairs = [
-        (parse_regex(x).to_nfa().trim().renumber(),
-         parse_regex(y).to_nfa().trim().renumber())
-        for x in atoms for y in atoms
-    ]
-    nfa_pairs += [
-        (random_regex(rng, alphabet, 3).to_nfa().trim().renumber(),
-         random_regex(rng, alphabet, 3).to_nfa().trim().renumber())
-        for _ in range(n_random)
-    ]
-    agreements = disagreements = refuted = 0
-    for left, right in nfa_pairs:
+    # Query compilation is hoisted out of every timed region, and the
+    # NFAs are raw Thompson constructions: reduce_nfa would pre-minimize
+    # the right side into a DFA and hide the blow-up the antichain
+    # subsumption is built to avoid.
+    def compiled(regexes) -> list[tuple[Any, Any]]:
+        return [
+            (r1.to_nfa().trim().renumber(), r2.to_nfa().trim().renumber())
+            for r1, r2 in regexes
+        ]
+
+    def both_kernels(left, right, stats=None) -> tuple[bool, bool]:
+        """(kernels agree, pair refuted).  Agreement is the hard gate:
+        identical verdicts, equal (shortest) witness lengths, and the
+        witness really separates the languages."""
         witnesses = {}
         for kernel in ("subset", "antichain"):
             clear_caches()
             witnesses[kernel] = containment_counterexample(
-                left, right, alphabet, kernel=kernel
+                left, right, _AB, kernel=kernel,
+                kernel_stats=None if stats is None else stats.setdefault(kernel, {}),
             )
         sub, anti = witnesses["subset"], witnesses["antichain"]
-        same_verdict = (sub is None) == (anti is None)
-        valid = True
-        if anti is not None:
-            valid = (
+        agree = (sub is None) == (anti is None) and (
+            anti is None
+            or (
                 len(sub) == len(anti)
                 and left.accepts(anti)
                 and not right.accepts(anti)
             )
-            refuted += 1
-        if same_verdict and valid:
-            agreements += 1
-        else:
-            disagreements += 1
+        )
+        return agree, anti is not None
+
+    def kernel_arm(pairs, kernel: str) -> Callable[[], None]:
+        def thunk() -> None:
+            clear_caches()
+            for left, right in pairs:
+                containment_counterexample(left, right, _AB, kernel=kernel)
+
+        return thunk
+
+    # E1 family: both kernels through the same public entry point.
+    nfa_pairs = compiled(_e1_pairs(suite))
+    agreements = refuted = 0
+    for left, right in nfa_pairs:
+        agree, is_refuted = both_kernels(left, right)
+        agreements += agree
+        refuted += is_refuted
 
     # E4-style family: Theorem 5 fold pipelines (including the paper's
     # divergence example) through both kernels of the on-the-fly search.
     tworpq_family = [("p", "p p-"), ("p", "p p- p")]
-    if suite == "full":
+    if full:
         tworpq_family.append(("a a", "a a-"))
     tworpq_rows: list[list[Any]] = []
     for left_text, right_text in tworpq_family:
@@ -617,31 +688,30 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
         row: list[Any] = [f"{left_text} <= {right_text}"]
         for kernel in ("subset", "antichain"):
             clear_caches()
-            result = two_rpq_contained(q1, q2, kernel=kernel)
-            row.append(result.verdict.value)
+            row.append(two_rpq_contained(q1, q2, kernel=kernel).verdict.value)
         tworpq_rows.append(row)
 
     # Blow-up family (a|b)* a (a|b)^n vs the n+1 suffix: the right-hand
     # determinization is the classic 2^n subset blow-up; the frontier
     # counts (subset configs vs antichain kept configs + peak) are the
-    # structural fact the speedup rests on, gated bit-for-bit.
+    # structural fact the speedup rests on, gated bit-for-bit.  Every
+    # size is timed; the largest keeps the unsuffixed workload names.
     sizes = (6, 8) if suite == "smoke" else (6, 8, 10, 12)
     frontier: list[list[int]] = []
-    timed_pair = None
+    blowup_agreements = 0
+    timed: dict[str, Callable[[], Any]] = {}
     for n in sizes:
         suffix = " ".join(["(a|b)"] * n)
-        left = parse_regex(f"(a|b)* a {suffix}").to_nfa().trim().renumber()
-        right = (
-            parse_regex(f"(a|b)* a (a|b) {suffix}").to_nfa().trim().renumber()
-        )
-        counts = {}
-        for kernel in ("subset", "antichain"):
-            clear_caches()
-            stats: dict[str, Any] = {}
-            containment_counterexample(
-                left, right, alphabet, kernel=kernel, kernel_stats=stats
-            )
-            counts[kernel] = stats
+        left, right = compiled(
+            [
+                (
+                    parse_regex(f"(a|b)* a {suffix}"),
+                    parse_regex(f"(a|b)* a (a|b) {suffix}"),
+                )
+            ]
+        )[0]
+        counts: dict[str, dict[str, Any]] = {}
+        blowup_agreements += both_kernels(left, right, counts)[0]
         frontier.append(
             [
                 n,
@@ -651,44 +721,95 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
                 counts["antichain"]["subsumption_hits"],
             ]
         )
-        timed_pair = (left, right)
+        label = "" if n == sizes[-1] else f"-n{n}"
+        for kernel in ("subset", "antichain"):
+            timed[f"blowup-{kernel}{label}"] = kernel_arm([(left, right)], kernel)
 
-    assert timed_pair is not None
-    timed_left, timed_right = timed_pair
-
-    def run_kernel(kernel: str) -> Callable[[], Any]:
-        def thunk() -> None:
-            clear_caches()
-            containment_counterexample(
-                timed_left, timed_right, alphabet, kernel=kernel
-            )
-
-        return thunk
-
-    return {
-        "exact": {
-            "pairs": len(nfa_pairs),
-            "agreements": agreements,
-            "disagreements": disagreements,
-            "refuted": refuted,
-            "tworpq": tworpq_rows,
-            "frontier": frontier,
-        },
-        "timed": {
-            "blowup-subset": run_kernel("subset"),
-            "blowup-antichain": run_kernel("antichain"),
-        },
+    exact: dict[str, Any] = {
+        "pairs": len(nfa_pairs),
+        "agreements": agreements,
+        "disagreements": len(nfa_pairs) - agreements,
+        "refuted": refuted,
+        "tworpq": tworpq_rows,
+        "frontier": frontier,
     }
+    if full:
+        exact["blowup_agreements"] = blowup_agreements
+        # Random pairs without structural blow-up: the simulation
+        # preprocessing is pure overhead the antichain kernel must absorb.
+        exact["random_sweep"] = []
+        for depth, sample in _depth_sweep((3, 4, 5)).items():
+            pairs = compiled(sample)
+            agree = sum(both_kernels(left, right)[0] for left, right in pairs)
+            exact["random_sweep"].append([depth, len(pairs), agree])
+            for kernel in ("subset", "antichain"):
+                timed[f"random-d{depth}-{kernel}"] = kernel_arm(pairs, kernel)
+    return {"exact": exact, "timed": timed}
+
+
+@dataclasses.dataclass(frozen=True)
+class EvaluationWorkload:
+    """The evaluation-engine experiment's inputs at one suite size, for
+    callers that cross-check its answers against an outside oracle."""
+
+    queries: tuple[Any, ...]
+    db: Any
+    rounds: int
+    crpq: Any
+    crpq_db: Any
+    heads: tuple[tuple[Any, Any], ...]
+
+
+def evaluation_workload(suite: str) -> EvaluationWorkload:
+    """Seeded 2RPQs over a random graph, re-evaluated ``rounds`` times,
+    plus a multi-atom C2RPQ probed at 36 heads — distinct regular atoms
+    anchored on the head, so per-test cost is atom instantiation (the
+    cost the snapshot cache amortizes), not the conjunctive join."""
+    import random
+
+    from ..automata.regex import random_regex
+    from ..crpq.syntax import C2RPQ
+    from ..graphdb.generators import random_graph
+    from ..rpq.rpq import TwoRPQ
+
+    if suite == "smoke":
+        rng, n_queries, rounds = random.Random(17), 8, 3
+        db = crpq_db = random_graph(14, 40, _AB, seed=23)
+    else:
+        rng, n_queries, rounds = random.Random(41), 10, 10
+        db = random_graph(40, 160, _AB, seed=43)
+        crpq_db = random_graph(30, 100, _AB, seed=47)
+    queries = tuple(
+        TwoRPQ(random_regex(rng, _AB, 3, allow_inverse=True))
+        for _ in range(n_queries)
+    )
+    crpq = C2RPQ.from_strings(
+        "x,y",
+        [
+            ("(a|b)* a (a|b)*", "x", "y"),
+            ("a (b a-)+", "x", "y"),
+            ("b- (a|b)+ a", "x", "z"),
+            ("(a b)+ b-", "z", "y"),
+        ],
+    )
+    nodes = crpq_db.nodes_in_order()[:6]
+    heads = tuple((x, y) for x in nodes for y in nodes)
+    return EvaluationWorkload(queries, db, rounds, crpq, crpq_db, heads)
+
+
+def _clear_evaluation_caches() -> None:
+    """Forget the evaluation-side artifacts only; compiled regexes stay."""
+    from ..cache import eval_context_cache, evaluation_cache, instantiate_cache
+
+    for cache in (eval_context_cache, evaluation_cache, instantiate_cache):
+        cache.clear()
 
 
 @_experiment("evaluation-engine", "snapshot set-at-a-time evaluation vs Datalog oracle")
 def _exp_evaluation(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.regex import random_regex
     from ..cache import clear_caches
     from ..cq.syntax import Var
-    from ..crpq.evaluation import evaluate_uc2rpq
+    from ..crpq.evaluation import satisfies_c2rpq
     from ..crpq.syntax import C2RPQ, RegularAtom
     from ..crpq.to_datalog import uc2rpq_to_datalog
     from ..datalog.evaluation import evaluate as evaluate_datalog
@@ -696,14 +817,7 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     from ..relational.instance import graph_to_instance
     from ..rpq.rpq import TwoRPQ
 
-    alphabet = ("a", "b")
-    n_queries = 8 if suite == "smoke" else 20
-    rng = random.Random(17)
-    queries = [
-        TwoRPQ(random_regex(rng, alphabet, 3, allow_inverse=True))
-        for _ in range(n_queries)
-    ]
-    db = random_graph(14, 40, alphabet, seed=23)
+    work = evaluation_workload(suite)
 
     # Hard gate 1: differential answer agreement — the snapshot engine
     # must agree with the Datalog engine running the query's Section 4.1
@@ -713,17 +827,17 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     # to an edge the query mentions.  Sizes are recorded unfiltered so
     # drift is visible.
     x, y = Var("x"), Var("y")
-    instance = graph_to_instance(db)
+    instance = graph_to_instance(work.db)
     agreements = disagreements = 0
     answer_sizes: list[int] = []
-    for query in queries:
+    for query in work.queries:
         clear_caches()
-        fast = query.evaluate(db)
+        fast = query.evaluate(work.db)
         program = uc2rpq_to_datalog(C2RPQ((x, y), (RegularAtom(query, x, y),)))
         labels = query.base_symbols()
         incident = {
             node
-            for source, label, target in db.edges()
+            for source, label, target in work.db.edges()
             if label in labels
             for node in (source, target)
         }
@@ -738,7 +852,7 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
 
     # Hard gate 2: snapshot invalidation — a cached result must never
     # survive a database mutation (the acceptance-criteria mutation test).
-    mutable = random_graph(10, 20, alphabet, seed=29)
+    mutable = random_graph(10, 20, _AB, seed=29)
     probe = TwoRPQ.parse("a+")
     clear_caches()
     before = probe.evaluate(mutable)
@@ -757,47 +871,43 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
         "new_pair_answered": missing in after,
     }
 
-    # Timed: the repeated-query workload (same queries re-evaluated
-    # against an unchanged database).  The "sequential" arm clears the
-    # evaluation caches between calls, reproducing the pre-snapshot
-    # cost structure (recompile adjacency + re-run BFS per call).
+    # Timed: the repeated-query workload (the same queries re-evaluated
+    # against an unchanged database) and the multi-atom CRPQ membership
+    # loop (``satisfies_c2rpq``, the hot loop of expansion-based
+    # containment).  The snapshot arm compiles the graph once and serves
+    # repeats from the evaluation caches; the pre-snapshot ("sequential")
+    # arm clears the evaluation caches per call, reproducing the old cost
+    # structure (re-intern nodes, rebuild adjacency, re-run BFS or
+    # re-instantiate every atom).  Compiled regexes stay warm on both
+    # arms, so the comparison isolates the evaluation engine.
+    for head in work.heads:  # warm the atoms' compiled regexes
+        satisfies_c2rpq(work.crpq, work.crpq_db, head)
+
     def repeated_snapshot() -> None:
-        clear_caches()
-        for _ in range(3):
-            for query in queries:
-                query.evaluate(db)
+        _clear_evaluation_caches()
+        for _ in range(work.rounds):
+            for query in work.queries:
+                query.evaluate(work.db)
 
     def repeated_sequential() -> None:
-        for _ in range(3):
-            for query in queries:
-                clear_caches()
-                query.evaluate(db)
-
-    # Timed: the multi-atom CRPQ workload — distinct regular atoms
-    # anchored on the head, the shape benchmark A9 gates at >= 5x.
-    crpq = C2RPQ.from_strings(
-        "x,y",
-        [
-            ("(a|b)* a (a|b)*", "x", "y"),
-            ("a (b a-)+", "x", "y"),
-            ("b- (a|b)+ a", "x", "z"),
-            ("(a b)+ b-", "z", "y"),
-        ],
-    )
+        for _ in range(work.rounds):
+            for query in work.queries:
+                _clear_evaluation_caches()
+                query.evaluate(work.db)
 
     def multi_atom_snapshot() -> None:
-        clear_caches()
-        for _ in range(5):
-            evaluate_uc2rpq(crpq, db)
+        _clear_evaluation_caches()
+        for head in work.heads:
+            satisfies_c2rpq(work.crpq, work.crpq_db, head)
 
     def multi_atom_sequential() -> None:
-        for _ in range(5):
-            clear_caches()
-            evaluate_uc2rpq(crpq, db)
+        for head in work.heads:
+            _clear_evaluation_caches()
+            satisfies_c2rpq(work.crpq, work.crpq_db, head)
 
     return {
         "exact": {
-            "queries": len(queries),
+            "queries": len(work.queries),
             "agreements": agreements,
             "disagreements": disagreements,
             "answer_sizes": answer_sizes,
@@ -849,6 +959,31 @@ def _profile_section(top: int = 20) -> dict[str, Any]:
     return profile.to_dict(top)
 
 
+def run_experiment(
+    experiment_id: str, suite: str = "smoke", repeats: int = 5
+) -> dict[str, Any]:
+    """Build one registered experiment at *suite* size and time its
+    workloads best-of-*repeats*: the entry :func:`run_suite` records."""
+    spec = next(
+        (spec for spec in experiments_for(suite) if spec.id == experiment_id),
+        None,
+    )
+    if spec is None:
+        raise ValueError(
+            f"unknown experiment {experiment_id!r} in suite {suite!r}"
+        )
+    built = spec.build(suite)
+    return {
+        "id": spec.id,
+        "title": spec.title,
+        "exact": _normalize(built["exact"]),
+        "timings": {
+            name: time_workload(fn, repeats)
+            for name, fn in sorted(built["timed"].items())
+        },
+    }
+
+
 def run_suite(
     suite: str = "smoke",
     repeats: int = 5,
@@ -865,21 +1000,7 @@ def run_suite(
     from ..cache import cache_stats, clear_caches
 
     clear_caches()
-    experiments: list[dict[str, Any]] = []
-    for spec in specs:
-        built = spec.build(suite)
-        timings = {
-            name: time_workload(fn, repeats)
-            for name, fn in sorted(built.get("timed", {}).items())
-        }
-        experiments.append(
-            {
-                "id": spec.id,
-                "title": spec.title,
-                "exact": _normalize(built["exact"]),
-                "timings": timings,
-            }
-        )
+    experiments = [run_experiment(spec.id, suite, repeats) for spec in specs]
     document: dict[str, Any] = {
         "schema": SCHEMA,
         "run_id": run_id if run_id is not None else _new_run_id(),
@@ -965,10 +1086,21 @@ def validate_run(document: Any) -> list[str]:
             problems.append(f"experiment {label}: missing timings dict")
             continue
         for name, timing in timings.items():
-            if not isinstance(timing, dict) or not _TIMING_KEYS <= set(timing):
+            if not isinstance(timing, dict):
+                problems.append(
+                    f"experiment {label}: timing {name!r} is not a dict"
+                )
+            elif not _TIMING_KEYS <= set(timing):
                 problems.append(
                     f"experiment {label}: timing {name!r} missing "
-                    f"{sorted(_TIMING_KEYS - set(timing or ()))}"
+                    f"{sorted(_TIMING_KEYS - set(timing))}"
+                )
+            else:
+                problems.extend(
+                    f"experiment {label}: timing {name!r} {key} is not a number"
+                    for key in ("median_ms", "mad_ms")
+                    if isinstance(timing[key], bool)
+                    or not isinstance(timing[key], (int, float))
                 )
     return problems
 

@@ -5,13 +5,14 @@ import json
 
 import pytest
 
+from repro.obs.env import environment_fingerprint
 from repro.obs.perf import (
     SCHEMA,
     SUITES,
     compare_runs,
-    environment_fingerprint,
     experiments_for,
     render_comparison,
+    run_experiment,
     run_suite,
     time_workload,
     validate_run,
@@ -86,6 +87,23 @@ class TestRegistry:
         full = {spec.id for spec in experiments_for("full")}
         assert smoke <= full
         assert len(smoke) >= 5
+
+
+class TestRunExperiment:
+    def test_entry_matches_suite_record(self, smoke_run):
+        recorded = {exp["id"]: exp for exp in smoke_run["experiments"]}
+        for spec in experiments_for("smoke"):
+            entry = run_experiment(spec.id, "smoke", repeats=1)
+            assert entry["exact"] == recorded[spec.id]["exact"], spec.id
+            assert set(entry["timings"]) == set(recorded[spec.id]["timings"])
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment("E99-nope", "smoke")
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment("E1-oracle", "nightly")
 
 
 class TestRunSuite:
@@ -178,6 +196,37 @@ class TestValidate:
         document = synthetic_run()
         document["experiments"] = []
         assert validate_run(document) != []
+
+    def test_non_dict_timing_is_a_problem(self):
+        document = synthetic_run()
+        document["experiments"][0]["timings"]["work"] = 5
+        problems = validate_run(document)
+        assert any("'work'" in problem for problem in problems)
+
+    @pytest.mark.parametrize("key", ["median_ms", "mad_ms"])
+    @pytest.mark.parametrize("value", ["fast", None, True, [1.0]])
+    def test_non_numeric_timing_is_a_problem(self, key, value):
+        document = synthetic_run()
+        document["experiments"][0]["timings"]["work"][key] = value
+        problems = validate_run(document)
+        assert any(key in problem for problem in problems)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda timings: timings.__setitem__("work", 5),
+            lambda timings: timings["work"].__setitem__("median_ms", "fast"),
+            lambda timings: timings["work"].__setitem__("mad_ms", None),
+        ],
+        ids=["non-dict", "text-median", "null-mad"],
+    )
+    def test_compare_reports_corrupt_timing_as_failure(self, corrupt):
+        current = synthetic_run(run_id="current")
+        corrupt(current["experiments"][0]["timings"])
+        for baseline, run in ((synthetic_run(), current), (current, synthetic_run())):
+            comparison = compare_runs(baseline, run)
+            assert not comparison.ok
+            assert "FAIL" in render_comparison(comparison)
 
 
 class TestCompare:
